@@ -21,8 +21,6 @@ import numpy as np
 from . import __version__
 from . import assignment as asg
 from . import binomial
-from . import dual_potential as dp
-from . import dyadic_transport as dy
 from . import experiments as xp
 from .geometry import cloud_to_csv, sample_uniform, substream_seed
 from .stats import TrialError
@@ -40,13 +38,34 @@ class ExperimentConfig:
     side: float
     trials: tuple
     master_seed: int
-    probes: int
     workers: int
     thetas: tuple = ()
     method: str = ""
     grid_divisor: int = 8
     c_bound: float = 10.0
     out: str | None = None
+
+    def __post_init__(self):
+        """Reject, before any work starts, a configuration no run can complete."""
+        min_trials = 2 if self.subcommand in ("scaling", "lemma-check") else 1
+        checks = [
+            (self.dim >= 1, f"--dim must be >= 1, got {self.dim}"),
+            (self.side > 0, f"--side must be > 0, got {self.side}"),
+            (all(n >= 1 for n in self.n_values), f"every --n must be >= 1, got {list(self.n_values)}"),
+            (all(t >= min_trials for t in self.trials),
+             f"{self.subcommand} needs at least {min_trials} trial(s) per run, got {list(self.trials)}"),
+            (self.workers >= 1, f"--workers must be >= 1, got {self.workers}"),
+            (self.grid_divisor >= 1, f"--grid-divisor must be >= 1, got {self.grid_divisor}"),
+            (all(0.0 <= t <= 1.0 for t in self.thetas), f"every --theta must lie in [0, 1], got {list(self.thetas)}"),
+        ]
+        if self.subcommand == "scaling":
+            checks += [
+                (len(set(self.n_values)) >= 3, "the scaling fit needs at least 3 distinct --n values"),
+                (self.dim != 2 or all(n >= 2 for n in self.n_values), "the d = 2 shape ln N needs every --n >= 2"),
+            ]
+        for ok, message in checks:
+            if not ok:
+                raise ValueError(message)
 
 
 def _env_seed() -> int:
@@ -162,22 +181,17 @@ def cmd_match(args) -> int:
 def cmd_upper_bound(args) -> int:
     opts = _merge(
         args,
-        {"n": 64, "dim": 2, "side": 1.0, "seeds": 10, "probes": 100_000,
-         "seed": _env_seed(), "out": None, "json": None},
+        {"n": 64, "dim": 2, "side": 1.0, "seeds": 10, "seed": _env_seed(), "out": None, "json": None},
     )
     config = ExperimentConfig(
         subcommand="upper-bound", n_values=(opts["n"],), dim=opts["dim"], side=opts["side"],
-        trials=(opts["seeds"],), master_seed=opts["seed"], probes=opts["probes"],
-        workers=1, out=opts["out"],
+        trials=(opts["seeds"],), master_seed=opts["seed"], workers=1, out=opts["out"],
     )
     t0 = time.perf_counter()
     cfg = xp.PairConfig(n=opts["n"], dim=opts["dim"], side=opts["side"])
-    rows = []
-    for t in range(opts["seeds"]):
-        row = xp.upper_bound_row(cfg, opts["probes"], substream_seed(opts["seed"], t))
-        rows.append(row)
-    header = ["seed", "k_star", "map_cost", "stderr", "coupling_cost", "optimal_cost"]
-    csv_rows = [[r.seed, r.k_star, r.map_cost, r.map_cost_stderr, r.coupling_cost, r.optimal_cost] for r in rows]
+    rows = [xp.upper_bound_row(cfg, substream_seed(opts["seed"], t)) for t in range(opts["seeds"])]
+    header = ["seed", "k_star", "map_cost", "coupling_cost", "optimal_cost"]
+    csv_rows = [[r.seed, r.k_star, r.map_cost, r.coupling_cost, r.optimal_cost] for r in rows]
     if opts["out"]:
         _write_csv(opts["out"], header, csv_rows)
     _emit_json(_summary(config, [asdict(r) for r in rows], seconds=time.perf_counter() - t0), opts["json"])
@@ -187,26 +201,23 @@ def cmd_upper_bound(args) -> int:
 def cmd_lower_bound(args) -> int:
     opts = _merge(
         args,
-        {"n": 64, "dim": 2, "side": 1.0, "seeds": 10, "probes": 20_000,
-         "grid_divisor": 8, "seed": _env_seed(), "out": None, "json": None},
+        {"n": 64, "dim": 2, "side": 1.0, "seeds": 10, "grid_divisor": 8,
+         "seed": _env_seed(), "out": None, "json": None},
     )
     config = ExperimentConfig(
         subcommand="lower-bound", n_values=(opts["n"],), dim=opts["dim"], side=opts["side"],
-        trials=(opts["seeds"],), master_seed=opts["seed"], probes=opts["probes"],
-        workers=1, grid_divisor=opts["grid_divisor"], out=opts["out"],
+        trials=(opts["seeds"],), master_seed=opts["seed"], workers=1,
+        grid_divisor=opts["grid_divisor"], out=opts["out"],
     )
     t0 = time.perf_counter()
     cfg = xp.PairConfig(n=opts["n"], dim=opts["dim"], side=opts["side"])
     rows = []
-    grid_mean = None  # per-grid-point running mean of |grad Phi|^2 across seeds
+    grid_sum = 0.0  # per-grid-point sum of |grad Phi|^2 across seeds
     for t in range(opts["seeds"]):
-        seed = substream_seed(opts["seed"], t)
-        rows.append(xp.lower_bound_row(cfg, seed, probes=opts["probes"], spacing_divisor=opts["grid_divisor"]))
-        x = sample_uniform(cfg.n, cfg.side, cfg.dim, substream_seed(seed, 0))
-        pot = dp.hierarchical_potential(dy.build_tree(x))
-        _, vals = dp.grad_sq_on_grid(pot, opts["grid_divisor"])
-        grid_mean = vals if grid_mean is None else grid_mean + vals
-    grid_mean = grid_mean / opts["seeds"]
+        row, grid = xp.lower_bound_row(cfg, substream_seed(opts["seed"], t), spacing_divisor=opts["grid_divisor"])
+        rows.append(row)
+        grid_sum += grid
+    grid_mean = grid_sum / opts["seeds"]
     header = ["seed", "gain", "sup_grad_sq", "certified_lower_bound", "optimal_cost"]
     csv_rows = [[r.seed, r.gain, r.sup_grad_sq, r.certified_lower_bound, r.optimal_cost] for r in rows]
     if opts["out"]:
@@ -234,8 +245,7 @@ def cmd_scaling(args) -> int:
         raise ValueError("--trials must be a single value or one per N")
     config = ExperimentConfig(
         subcommand="scaling", n_values=n_values, dim=opts["dim"], side=opts["side"],
-        trials=trials, master_seed=opts["seed"], probes=0, workers=opts["workers"],
-        out=opts["out"],
+        trials=trials, master_seed=opts["seed"], workers=opts["workers"], out=opts["out"],
     )
     t0 = time.perf_counter()
     results, fit = xp.scaling_experiment(
@@ -261,7 +271,7 @@ def cmd_lemma_check(args) -> int:
     )
     config = ExperimentConfig(
         subcommand="lemma-check", n_values=tuple(opts["n"]), dim=opts["dim"], side=opts["side"],
-        trials=(opts["trials"],), master_seed=opts["seed"], probes=0, workers=opts["workers"],
+        trials=(opts["trials"],), master_seed=opts["seed"], workers=opts["workers"],
         thetas=tuple(opts["theta"]), c_bound=opts["c_bound"],
     )
     t0 = time.perf_counter()
@@ -319,15 +329,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_common(p, seeds=False, probes=False, workers=False):
+    def add_common(p, seeds=False, workers=False):
         p.add_argument("--config", help="JSON file supplying defaults; flags always win")
         p.add_argument("--dim", type=int, help="space dimension d")
         p.add_argument("--side", type=float, help="box side length L")
         p.add_argument("--seed", type=int, help=f"master seed (default ${SEED_ENV_VAR} or 0)")
         if seeds:
             p.add_argument("--seeds", type=int, help="number of independent instances")
-        if probes:
-            p.add_argument("--probes", type=int, help="Monte Carlo probes per integral")
         if workers:
             p.add_argument("--workers", type=int, help="parallel trial workers (default 1)")
 
@@ -343,19 +351,19 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.set_defaults(func=cmd_match)
 
-    p = sub.add_parser("upper-bound", help="hierarchical map and coupling costs vs the optimum; CSV rows (seed, k_star, map_cost, stderr, coupling_cost, optimal_cost)")
+    p = sub.add_parser("upper-bound", help="exact hierarchical map and coupling costs, from preimage boxes, vs the optimum; CSV rows (seed, k_star, map_cost, coupling_cost, optimal_cost)")
     p.add_argument("--n", type=int)
     p.add_argument("--out", help="CSV path")
     p.add_argument("--json", help="JSON summary path (default stdout)")
-    add_common(p, seeds=True, probes=True)
+    add_common(p, seeds=True)
     p.set_defaults(func=cmd_upper_bound)
 
-    p = sub.add_parser("lower-bound", help="dual certificates vs the optimum; CSV rows (seed, gain, sup_grad_sq, certified_lower_bound, optimal_cost)")
+    p = sub.add_parser("lower-bound", help="dual certificates vs the optimum, gain = mean of the potential over the x-cloud (its spatial mean is exactly 0); CSV rows (seed, gain, sup_grad_sq, certified_lower_bound, optimal_cost)")
     p.add_argument("--n", type=int)
     p.add_argument("--grid-divisor", dest="grid_divisor", type=int, help="sup-gradient grid spacing divisor")
     p.add_argument("--out", help="CSV path")
     p.add_argument("--json", help="JSON summary path (default stdout)")
-    add_common(p, seeds=True, probes=True)
+    add_common(p, seeds=True)
     p.set_defaults(func=cmd_lower_bound)
 
     p = sub.add_parser("scaling", help="mean exact cost over N list with shape fit; CSV rows (n, dim, trials, mean, stderr, fitted_constant)")

@@ -104,9 +104,7 @@ def _level_terms(p: DualPotential, xs: np.ndarray, level: int, b: np.ndarray, lo
     lk = level_scale(level, d, side)
     parent_sides = level_sides(level - 1, d, side)
 
-    nq = tree.counts[level - 1][b]
-    nleft = tree.counts[level][2 * b]
-    amp = np.where(nq > 0, 2.0 * nleft / np.maximum(nq, 1) - 1.0, 0.0)
+    amp = tree.rho_left(level)[b] - 1.0
 
     u = (xs[:, c] - lo[:, c]) / lk
     fu = _zeta_val(u) - _zeta_val(u - 1.0)
@@ -201,9 +199,7 @@ def integral_against_density(p: DualPotential, at_level: int | None = None) -> f
         lk = level_scale(level, d, side)
         parent_sides = level_sides(level - 1, d, side)
         parents = idx >> (k - (level - 1))
-        nq = tree.counts[level - 1][parents]
-        nleft = tree.counts[level][2 * parents]
-        amp = np.where(nq > 0, 2.0 * nleft / np.maximum(nq, 1) - 1.0, 0.0)
+        amp = tree.rho_left(level)[parents] - 1.0
         corners_parent = box_corners(level - 1, parents, d, side)
         a = corners - corners_parent
         bnd = a + sides_k
@@ -251,41 +247,41 @@ def sup_grad_sq(p: DualPotential, spacing_divisor: int = 8, inflation: float = 1
     supremum; the certificate divides by this value, so inflating it only makes
     the reported lower bound smaller (safer)."""
     _, vals = grad_sq_on_grid(p, spacing_divisor)
-    return float(vals.max() * inflation**2)
+    return _inflated_max(vals, inflation)
+
+
+def _inflated_max(grid_vals: np.ndarray, inflation: float) -> float:
+    return float(grid_vals.max() * inflation**2)
 
 
 @dataclass(frozen=True)
 class GainReport:
-    gain: float  # mean Phi over the cloud minus the Monte Carlo spatial mean
+    gain: float  # mean Phi over the cloud minus the spatial mean of Phi, which is exactly zero
     point_mean: float
-    integral_estimate: float  # analytically zero; estimated as a cross-check
-    integral_stderr: float
     sup_grad_sq: float
+    grid_grad_sq: np.ndarray  # |grad Phi|^2 on the grid behind sup_grad_sq
 
 
 def lower_bound_functional(
     cloud_x: PointCloud,
     p: DualPotential,
-    probes: int = 50_000,
-    seed: int = 0,
     spacing_divisor: int = 8,
     inflation: float = 1.05,
 ) -> GainReport:
-    """Empirical dual gain of a potential built from the cloud's own tree."""
+    """Empirical dual gain of a potential built from the cloud's own tree.
+
+    Every block zeta(u) - zeta(u - 1) integrates to zero, so the gain is the
+    mean of Phi over the cloud.
+    """
     _check_same_cloud(cloud_x, p)
     values, _ = potential_eval_batch(p, cloud_x.points)
     point_mean = float(values.mean())
-    rng = np.random.default_rng(np.uint64(seed))
-    xs = rng.random((probes, cloud_x.dim)) * cloud_x.side
-    mc_values, _ = potential_eval_batch(p, xs)
-    integral = float(mc_values.mean())
-    integral_err = float(mc_values.std(ddof=1) / np.sqrt(probes))
+    _, grid = grad_sq_on_grid(p, spacing_divisor)
     return GainReport(
-        gain=point_mean - integral,
+        gain=point_mean,
         point_mean=point_mean,
-        integral_estimate=integral,
-        integral_stderr=integral_err,
-        sup_grad_sq=sup_grad_sq(p, spacing_divisor, inflation),
+        sup_grad_sq=_inflated_max(grid, inflation),
+        grid_grad_sq=grid,
     )
 
 

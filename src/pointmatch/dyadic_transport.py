@@ -277,9 +277,7 @@ def _descend(h: HierarchicalMap, xs: np.ndarray, record_levels: bool = False):
     for level in range(1, tree.k_star + 1):
         c = split_coordinate(level, d)
         half = L * 2.0 ** (-((level - 1) // d + 1))
-        parent = tree.counts[level - 1][b]
-        left = tree.counts[level][2 * b]
-        rho = np.where(parent > 0, 2.0 * left / np.maximum(parent, 1), 1.0)
+        rho = tree.rho_left(level)[b]
         u = np.clip((pos[:, c] - lo[:, c]) / half, 0.0, 2.0)
         v = _block_map_vec(rho, u)
         pos[:, c] = lo[:, c] + v * half
@@ -361,6 +359,115 @@ def couple_two_clouds(
         np.add.at(weights, (n_idx, m_idx), 1.0)
         weights *= tx.n / sq.size
     return TransportPlan(kind="coupling", cost=cost, weights=weights), stderr
+
+
+# ---------------------------------------------------------------------------
+# Exact costs from preimage boxes.
+#
+# Each level map moves the split coordinate affinely on either side of its
+# breakpoint, so S_k maps the preimage of every level-k box affinely onto the
+# box: preimages are axis-aligned boxes, and along the split coordinate the
+# left child takes the fraction rho_left/2 = N_left/N_Q of its parent's.
+
+
+def _cut(lo: np.ndarray, hi: np.ndarray, frac) -> np.ndarray:
+    """Point at fraction `frac` of [lo, hi]; exactly lo at 0 and hi at 1, so
+    neighbouring boxes share their faces bit for bit."""
+    return lo * (1.0 - frac) + hi * frac
+
+
+def _split_preimages(tree: DyadicTree, level: int, lo: np.ndarray, hi: np.ndarray):
+    """Corners of the level-`level` box preimages under S_level from their parents'."""
+    c = split_coordinate(level, tree.dim)
+    lo, hi = np.repeat(lo, 2, axis=0), np.repeat(hi, 2, axis=0)
+    cut = _cut(lo[0::2, c], hi[0::2, c], tree.rho_left(level) / 2.0)
+    hi[0::2, c] = cut
+    lo[1::2, c] = cut
+    return lo, hi
+
+
+def _point_preimages(h: HierarchicalMap, lo_box: np.ndarray, hi_box: np.ndarray):
+    """Cut each stopping-box preimage into equal slabs along coordinate 1, one per
+    point in cell order; returns (lower, upper corners) indexed by point id."""
+    tree = h.tree
+    order = h.cell_order
+    box = tree.point_box[order]
+    n_box = tree.counts[tree.k_star][box]
+    slab = np.arange(order.size) - h.box_offsets[box]
+    lo, hi = lo_box[box], hi_box[box]
+    start, stop = slab / n_box, (slab + 1) / n_box
+    lo[:, 0], hi[:, 0] = _cut(lo[:, 0], hi[:, 0], start), _cut(lo[:, 0], hi[:, 0], stop)
+    lower, upper = np.empty_like(lo), np.empty_like(hi)
+    lower[order], upper[order] = lo, hi
+    return lower, upper
+
+
+def _domain(tree: DyadicTree):
+    return np.zeros((1, tree.dim)), np.full((1, tree.dim), tree.side)
+
+
+def preimage_boxes(h: HierarchicalMap) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper corners of T^(-1)(X_n) for every sample point; each box has volume L^d/N."""
+    lo, hi = _domain(h.tree)
+    for level in range(1, h.tree.k_star + 1):
+        lo, hi = _split_preimages(h.tree, level, lo, hi)
+    return _point_preimages(h, lo, hi)
+
+
+def map_cost_exact(h: HierarchicalMap) -> float:
+    """(1/L^d) int |T(x) - x|^2 dx in closed form.
+
+    T is constant on each preimage box (centre c_n, widths w_n, volume L^d/N),
+    so the integral is (1/N) sum_n (|X_n - c_n|^2 + sum_i w_(n,i)^2 / 12).
+    """
+    lower, upper = preimage_boxes(h)
+    centres, widths = (lower + upper) / 2.0, upper - lower
+    sq = ((h.tree.cloud.points - centres) ** 2).sum(axis=1) + (widths**2).sum(axis=1) / 12.0
+    return float(sq.mean())
+
+
+def coupling_exact(t: HierarchicalMap, s: HierarchicalMap) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The coupling of the two clouds through a common uniform point, exactly.
+
+    Returns (n, m, mass) for every pair whose preimage boxes R_n = T^(-1)(X_n)
+    and Q_m = S^(-1)(Y_m) overlap, with mass vol(R_n & Q_m) / L^d; every row and
+    column sums to 1/N. Both trees split the same coordinate at every level, so
+    one joint descent keeps only the box pairs whose preimages overlap.
+    """
+    tx, ty = t.tree, s.tree
+    if tx.cloud.n != ty.cloud.n or tx.dim != ty.dim or tx.side != ty.side:
+        raise ValueError("maps must be built over clouds of equal size, dim and side")
+    (lo_t, hi_t), (lo_s, hi_s) = _domain(tx), _domain(ty)
+    a = b = np.zeros(1, dtype=np.int64)
+    for level in range(1, tx.k_star + 1):
+        c = split_coordinate(level, tx.dim)
+        lo_t, hi_t = _split_preimages(tx, level, lo_t, hi_t)
+        lo_s, hi_s = _split_preimages(ty, level, lo_s, hi_s)
+        a = (2 * a[:, None] + np.array([0, 0, 1, 1])).ravel()
+        b = (2 * b[:, None] + np.array([0, 1, 0, 1])).ravel()
+        keep = np.minimum(hi_t[a, c], hi_s[b, c]) > np.maximum(lo_t[a, c], lo_s[b, c])
+        a, b = a[keep], b[keep]
+
+    # every point pair of every overlapping pair of stopping boxes
+    na, nb = tx.counts[tx.k_star][a], ty.counts[ty.k_star][b]
+    reps = na * nb
+    pair = np.repeat(np.arange(a.size), reps)
+    local = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
+    n_idx = t.cell_order[t.box_offsets[a][pair] + local // nb[pair]]
+    m_idx = s.cell_order[s.box_offsets[b][pair] + local % nb[pair]]
+    (lo_r, hi_r), (lo_q, hi_q) = _point_preimages(t, lo_t, hi_t), _point_preimages(s, lo_s, hi_s)
+    sides = np.minimum(hi_r[n_idx], hi_q[m_idx]) - np.maximum(lo_r[n_idx], lo_q[m_idx])
+    vol = sides.clip(min=0.0).prod(axis=1)
+    keep = vol > 0.0
+    return n_idx[keep], m_idx[keep], vol[keep] / tx.side**tx.dim
+
+
+def coupling_cost_exact(t: HierarchicalMap, s: HierarchicalMap) -> float:
+    """sum over pairs of mass * |Y_m - X_n|^2 for the exact coupling; an upper
+    bound on the optimal matching cost by the Birkhoff-von Neumann theorem."""
+    n_idx, m_idx, mass = coupling_exact(t, s)
+    sq = ((s.tree.cloud.points[m_idx] - t.tree.cloud.points[n_idx]) ** 2).sum(axis=1)
+    return float(mass @ sq)
 
 
 # ---------------------------------------------------------------------------

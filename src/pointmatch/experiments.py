@@ -34,20 +34,8 @@ def sample_pair(cfg: PairConfig, seed: int) -> tuple[PointCloud, PointCloud]:
 
 
 def matching_cost(cfg: PairConfig, seed: int) -> float:
-    """Exact matching cost of a fresh pair of clouds.
-
-    d = 1 uses the monotone (sorted) matching, which is optimal for the
-    squared-distance cost and is itself verified against brute force in the
-    test suite; higher dimensions run the assignment solver.
-    """
-    x, y = sample_pair(cfg, seed)
-    if cfg.dim == 1:
-        return asg.monotone_matching_1d(x, y).cost
-    return asg.match_solver(asg.cost_matrix(x, y)).cost
-
-
-def matching_cost_observable(cfg: PairConfig):
-    return partial(matching_cost, cfg)
+    """Exact matching cost of a fresh pair of clouds."""
+    return asg.optimal_cost(*sample_pair(cfg, seed))
 
 
 @dataclass(frozen=True)
@@ -72,12 +60,8 @@ def box_count(cfg: BoxCountConfig, seed: int) -> int:
     return count_in_box(cloud, slab_box(cfg)).n_q
 
 
-def box_count_value(cfg: BoxCountConfig, seed: int) -> float:
-    return float(box_count(cfg, seed))
-
-
 def box_counts_ensemble(cfg: BoxCountConfig, trials: int, master_seed: int, workers: int = 1):
-    ens = run_ensemble(EnsembleConfig(trials, master_seed, workers), partial(box_count_value, cfg))
+    ens = run_ensemble(EnsembleConfig(trials, master_seed, workers), partial(box_count, cfg))
     samples = [BoxCount(n_q=int(v), n_total=cfg.n, theta=cfg.theta) for v in ens.observations]
     return ens, samples
 
@@ -91,37 +75,20 @@ class UpperBoundRow:
     seed: int
     k_star: int
     map_cost: float
-    map_cost_stderr: float
     coupling_cost: float
-    coupling_stderr: float
     optimal_cost: float
 
 
-def upper_bound_row(cfg: PairConfig, probes: int, seed: int) -> UpperBoundRow:
+def upper_bound_row(cfg: PairConfig, seed: int) -> UpperBoundRow:
     x, y = sample_pair(cfg, seed)
     t = dy.build_map(x)
-    s = dy.build_map(y)
-    mc, mc_err = dy.map_cost(t, probes=probes, seed=substream_seed(seed, 2))
-    plan, c_err = dy.couple_two_clouds(t, s, probes=probes, seed=substream_seed(seed, 3))
-    if cfg.dim == 1:
-        opt = asg.monotone_matching_1d(x, y).cost
-    else:
-        opt = asg.match_solver(asg.cost_matrix(x, y)).cost
     return UpperBoundRow(
         seed=seed,
         k_star=t.tree.k_star,
-        map_cost=mc,
-        map_cost_stderr=mc_err,
-        coupling_cost=plan.cost,
-        coupling_stderr=c_err,
-        optimal_cost=opt,
+        map_cost=dy.map_cost_exact(t),
+        coupling_cost=dy.coupling_cost_exact(t, dy.build_map(y)),
+        optimal_cost=asg.optimal_cost(x, y),
     )
-
-
-def map_cost_observable(cfg: PairConfig, probes: int, seed: int) -> float:
-    x = sample_uniform(cfg.n, cfg.side, cfg.dim, substream_seed(seed, 0))
-    cost, _ = dy.map_cost(dy.build_map(x), probes=probes, seed=substream_seed(seed, 2))
-    return cost
 
 
 # ---------------------------------------------------------------------------
@@ -140,28 +107,22 @@ class LowerBoundRow:
 def lower_bound_row(
     cfg: PairConfig,
     seed: int,
-    probes: int = 20_000,
     spacing_divisor: int = 8,
     inflation: float = 1.05,
-) -> LowerBoundRow:
+) -> tuple[LowerBoundRow, np.ndarray]:
+    """The row and |grad Phi|^2 on the sup-gradient grid it was certified with."""
     x, y = sample_pair(cfg, seed)
     pot = dp.hierarchical_potential(dy.build_tree(x))
-    report = dp.lower_bound_functional(
-        x, pot, probes=probes, seed=substream_seed(seed, 4),
-        spacing_divisor=spacing_divisor, inflation=inflation,
-    )
+    report = dp.lower_bound_functional(x, pot, spacing_divisor=spacing_divisor, inflation=inflation)
     bound = dp.dual_lower_bound(x, y, pot, sup_sq=report.sup_grad_sq)
-    if cfg.dim == 1:
-        opt = asg.monotone_matching_1d(x, y).cost
-    else:
-        opt = asg.match_solver(asg.cost_matrix(x, y)).cost
-    return LowerBoundRow(
+    row = LowerBoundRow(
         seed=seed,
         gain=report.gain,
         sup_grad_sq=report.sup_grad_sq,
         certified_lower_bound=bound,
-        optimal_cost=opt,
+        optimal_cost=asg.optimal_cost(x, y),
     )
+    return row, report.grid_grad_sq
 
 
 # ---------------------------------------------------------------------------

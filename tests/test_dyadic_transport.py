@@ -189,12 +189,11 @@ def test_map_cost_probe_floor():
         dy.map_cost(h, probes=10)
 
 
-def _mean_map_cost(n, dim, trials, master_seed, probes=10_000):
+def _mean_map_cost(n, dim, trials, master_seed):
     total = 0.0
     for t in range(trials):
         cloud = geo.sample_uniform(n, 1.0, dim, geo.substream_seed(master_seed, t))
-        cost, _ = dy.map_cost(dy.build_map(cloud), probes=probes, seed=geo.substream_seed(master_seed, t, 1))
-        total += cost
+        total += dy.map_cost_exact(dy.build_map(cloud))
     return total / trials
 
 
@@ -259,6 +258,67 @@ def test_coupling_marginals_within_monte_carlo_error():
     se = n * math.sqrt((1.0 / n) * (1.0 - 1.0 / n) / probes)
     assert np.abs(plan.weights.sum(axis=0) - 1.0).max() <= 4 * se
     assert np.abs(plan.weights.sum(axis=1) - 1.0).max() <= 4 * se
+
+
+# --- exact costs from preimage boxes -------------------------------------------
+
+
+def _map_pair(n, dim, seed, side=1.0):
+    x = geo.sample_uniform(n, side, dim, geo.substream_seed(seed, 0))
+    y = geo.sample_uniform(n, side, dim, geo.substream_seed(seed, 1))
+    return dy.build_map(x), dy.build_map(y)
+
+
+@pytest.mark.parametrize("dim, n", [(1, 64), (2, 256), (3, 512), (2, 5), (3, 1)])
+def test_preimage_boxes_map_onto_their_points(dim, n):
+    h = dy.build_map(geo.sample_uniform(n, 2.5, dim, 70 + n))
+    lower, upper = dy.preimage_boxes(h)
+    np.testing.assert_allclose((upper - lower).prod(axis=1), 2.5**dim / n, rtol=1e-12)
+    # random points strictly inside each box are sent to that box's own point
+    inside = lower + np.random.default_rng(n).uniform(0.01, 0.99, lower.shape) * (upper - lower)
+    _, idx = dy.map_images(h, inside)
+    assert np.array_equal(idx, np.arange(n))
+
+
+@pytest.mark.parametrize("dim, n", [(1, 64), (2, 256), (3, 512)])
+@pytest.mark.parametrize("seed", range(5))
+def test_exact_costs_match_monte_carlo_oracles(dim, n, seed):
+    t, s = _map_pair(n, dim, 80 + seed)
+    mc, mc_err = dy.map_cost(t, probes=200_000, seed=seed)
+    plan, plan_err = dy.couple_two_clouds(t, s, probes=200_000, seed=seed)
+    assert abs(dy.map_cost_exact(t) - mc) <= 4 * mc_err
+    assert abs(dy.coupling_cost_exact(t, s) - plan.cost) <= 4 * plan_err
+
+
+@pytest.mark.parametrize("n", [1, 2, 64, 1000])
+def test_coupling_exact_d1_is_monotone_optimum(n):
+    # both maps are monotone in d = 1, so their coupling is the sorted matching
+    t, s = _map_pair(n, 1, 90 + n, side=2.5)
+    opt = asg.monotone_matching_1d(t.tree.cloud, s.tree.cloud).cost
+    assert dy.coupling_cost_exact(t, s) == pytest.approx(opt, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("dim, n", [(1, 64), (2, 256), (3, 512), (2, 3), (3, 100)])
+def test_coupling_exact_marginals_are_uniform(dim, n):
+    t, s = _map_pair(n, dim, 100 + n, side=2.5)
+    n_idx, m_idx, mass = dy.coupling_exact(t, s)
+    assert np.all(mass > 0.0)
+    np.testing.assert_allclose(np.bincount(n_idx, mass, minlength=n), 1.0 / n, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(np.bincount(m_idx, mass, minlength=n), 1.0 / n, rtol=1e-12, atol=0.0)
+
+
+def test_coupling_exact_identical_clouds_is_diagonal():
+    t = dy.build_map(geo.sample_uniform(64, 1.0, 2, 50))
+    n_idx, m_idx, _ = dy.coupling_exact(t, t)
+    assert np.array_equal(n_idx, m_idx)
+    assert dy.coupling_cost_exact(t, t) == 0.0
+
+
+def test_coupling_exact_rejects_mismatched_clouds():
+    t, _ = _map_pair(16, 2, 110)
+    s, _ = _map_pair(17, 2, 111)
+    with pytest.raises(ValueError):
+        dy.coupling_exact(t, s)
 
 
 # --- recursion audit ----------------------------------------------------------
