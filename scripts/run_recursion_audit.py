@@ -2,9 +2,10 @@
 """Per-level cost audit of the hierarchical map.
 
 Tabulates E int |S_k - id|^2, the level increments, the cross terms, and the
-smallest constant admissible in the one-step recursion bound. In d=1 the coarse
-levels dominate; in d=2 every level contributes comparably; in d>2 the fine
-levels win.
+smallest constant admissible in the one-step recursion bound. Each cloud's
+per-level terms are exact; the stderr column is the spread over the clouds.
+In d=1 the coarse levels dominate; in d=2 every level contributes comparably;
+in d>2 the fine levels win.
 
 Usage: python scripts/run_recursion_audit.py [--n 1024] [--dim 2] [--trials 100]
 """
@@ -20,13 +21,13 @@ def main() -> int:
     ap.add_argument("--n", type=int, default=1024)
     ap.add_argument("--dim", type=int, default=2)
     ap.add_argument("--trials", type=int, default=100)
-    ap.add_argument("--probes", type=int, default=20_000)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
+    for name, least in (("n", 1), ("dim", 1), ("trials", 2)):
+        if getattr(args, name) < least:
+            ap.error(f"--{name} must be >= {least}")
 
-    audit = recursion_audit(
-        args.n, args.dim, trials=args.trials, probes=args.probes, master_seed=args.seed
-    )
+    audit = recursion_audit(args.n, args.dim, trials=args.trials, master_seed=args.seed)
     header = f"{'k':>3} {'L_k':>10} {'E|S_k-id|^2':>14} {'stderr':>10} {'increment':>12} {'cross':>12} {'C_k':>8}"
     print(header)
     print("-" * len(header))

@@ -1,9 +1,10 @@
 """Exact matching cost between two point clouds.
 
 Three independent routes to the optimum of (1/N) min_sigma sum |Y_sigma(n) - X_n|^2:
-factorial enumeration (oracle, tiny N), a dense shortest-augmenting-path assignment
-solver, and the Kantorovich linear program over bistochastic matrices solved by a
-self-contained transportation simplex. All costs carry the 1/N normalization.
+factorial enumeration (the oracle, tiny N), a dense shortest-augmenting-path
+assignment solver, and the Kantorovich linear program over bistochastic matrices
+solved by HiGHS, a code path independent of the assignment solver. All costs
+carry the 1/N normalization.
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
+from scipy import sparse
+from scipy.optimize import linear_sum_assignment, linprog
 from scipy.spatial.distance import cdist
 
 from .geometry import PointCloud
@@ -132,139 +134,23 @@ def optimal_cost(x: PointCloud, y: PointCloud) -> float:
 def match_lp(c: CostMatrix) -> TransportPlan:
     """Kantorovich relaxation over bistochastic matrices, solved exactly.
 
-    Self-contained transportation simplex (tree basis, Bland's rule, so no
-    cycling); kept free of external LP solvers because its agreement with the
-    combinatorial optimum is itself a correctness check of both routes.
+    min sum c_nm w_nm subject to unit row and column sums and w >= 0, handed
+    to the HiGHS LP solver as a sparse 2N x N^2 equality system. HiGHS shares
+    no code with the assignment solver, so the agreement of the two routes
+    (and of both with brute force, the oracle) checks each of them. Raises
+    RuntimeError if HiGHS reports anything other than an optimum.
     """
     n = c.n
     if n > LP_SIZE_LIMIT:
         raise ValueError(f"dense LP is limited to N <= {LP_SIZE_LIMIT}, got N = {n}")
-    weights = _transportation_simplex(c.entries)
+    var = np.arange(n * n)  # variable n*i + j is w_ij
+    rows = np.concatenate([var // n, n + var % n])  # row sums, then column sums
+    a_eq = sparse.csr_array((np.ones(2 * n * n), (rows, np.tile(var, 2))), shape=(2 * n, n * n))
+    res = linprog(c.entries.ravel(), A_eq=a_eq, b_eq=np.ones(2 * n), bounds=(0, None), method="highs")
+    if res.status != 0:
+        raise RuntimeError(f"HiGHS did not solve the transport LP: {res.message}")
+    weights = res.x.reshape(n, n)
     return TransportPlan(kind="coupling", cost=coupling_cost(c, weights), weights=weights)
-
-
-def _transportation_simplex(cost: np.ndarray, max_pivots: int = 2_000_000) -> np.ndarray:
-    """Primal simplex on the transportation polytope with unit supplies/demands.
-
-    Basis is a spanning tree of 2n-1 cells; entering and leaving variables follow
-    Bland's smallest-index rule, which rules out cycling on this highly degenerate
-    polytope. With integer supplies the iterates stay exactly integral.
-    """
-    n = cost.shape[0]
-    x = np.zeros((n, n))
-    row_basis = [set() for _ in range(n)]  # row i -> basic columns
-    col_basis = [set() for _ in range(n)]  # col j -> basic rows
-
-    # Northwest-corner start: a staircase of 2n-1 basic cells (degenerate zeros included).
-    supply = np.ones(n)
-    demand = np.ones(n)
-    i = j = 0
-    while True:
-        t = min(supply[i], demand[j])
-        x[i, j] = t
-        row_basis[i].add(j)
-        col_basis[j].add(i)
-        supply[i] -= t
-        demand[j] -= t
-        if i == n - 1 and j == n - 1:
-            break
-        if supply[i] <= 0 and i < n - 1:
-            i += 1
-        else:
-            j += 1
-
-    u = np.zeros(n)
-    v = np.zeros(n)
-    for _ in range(max_pivots):
-        _solve_duals(cost, row_basis, col_basis, u, v)
-        entering = _bland_entering(cost, u, v, row_basis)
-        if entering is None:
-            return x
-        ei, ej = entering
-        cycle = _basis_cycle(ei, ej, row_basis, col_basis, n)
-        minus = cycle[1::2]
-        theta = min(x[i_, j_] for i_, j_ in minus)
-        leaving = min((cell for cell in minus if x[cell] <= theta), key=lambda cell: cell[0] * n + cell[1])
-        for k, cell in enumerate(cycle):
-            x[cell] += theta if k % 2 == 0 else -theta
-        x[leaving] = 0.0
-        row_basis[leaving[0]].discard(leaving[1])
-        col_basis[leaving[1]].discard(leaving[0])
-        row_basis[ei].add(ej)
-        col_basis[ej].add(ei)
-    raise RuntimeError("transportation simplex did not converge within the pivot limit")
-
-
-def _solve_duals(cost, row_basis, col_basis, u, v):
-    n = len(row_basis)
-    seen_rows = np.zeros(n, dtype=bool)
-    seen_cols = np.zeros(n, dtype=bool)
-    u[0] = 0.0
-    seen_rows[0] = True
-    stack = [(0, True)]
-    while stack:
-        node, is_row = stack.pop()
-        if is_row:
-            for j in row_basis[node]:
-                if not seen_cols[j]:
-                    v[j] = cost[node, j] - u[node]
-                    seen_cols[j] = True
-                    stack.append((j, False))
-        else:
-            for i in col_basis[node]:
-                if not seen_rows[i]:
-                    u[i] = cost[i, node] - v[node]
-                    seen_rows[i] = True
-                    stack.append((i, True))
-    if not (seen_rows.all() and seen_cols.all()):
-        raise RuntimeError("basis is not a spanning tree")
-
-
-def _bland_entering(cost, u, v, row_basis, tol: float = 1e-10):
-    n = cost.shape[0]
-    reduced = cost - u[:, None] - v[None, :]
-    for i in range(n):
-        row = reduced[i]
-        for j in range(n):
-            if row[j] < -tol and j not in row_basis[i]:
-                return (i, j)
-    return None
-
-
-def _basis_cycle(ei, ej, row_basis, col_basis, n):
-    """Cells of the unique cycle created by adding (ei, ej) to the basis tree.
-
-    Returned in cycle order starting at the entering cell, so even positions
-    gain mass and odd positions lose it.
-    """
-    # Nodes: rows are 0..n-1, columns are n..2n-1. Find the tree path row ei -> col ej.
-    parent = {ei: None}
-    frontier = [ei]
-    target = n + ej
-    while frontier and target not in parent:
-        nxt = []
-        for node in frontier:
-            if node < n:
-                for j in row_basis[node]:
-                    if n + j not in parent:
-                        parent[n + j] = node
-                        nxt.append(n + j)
-            else:
-                for i in col_basis[node - n]:
-                    if i not in parent:
-                        parent[i] = node
-                        nxt.append(i)
-        frontier = nxt
-    if target not in parent:
-        raise RuntimeError("basis is not connected")
-    path = [target]
-    while parent[path[-1]] is not None:
-        path.append(parent[path[-1]])
-    path.reverse()  # ei ... ej, alternating row/col nodes
-    cells = [(ei, ej)]
-    for a, b in zip(path[:-1], path[1:]):
-        cells.append((a, b - n) if a < n else (b, a - n))
-    return cells
 
 
 def round_to_permutation(plan: TransportPlan, c: CostMatrix) -> TransportPlan:

@@ -337,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
         if seeds:
             p.add_argument("--seeds", type=int, help="number of independent instances")
         if workers:
-            p.add_argument("--workers", type=int, help="parallel trial workers (default 1)")
+            p.add_argument("--workers", type=int, help="parallel trial workers (default: the CPU count)")
 
     p = sub.add_parser("sample", help="write a uniform cloud as CSV (header x1,...,xd)")
     p.add_argument("--n", type=int, help="number of points")

@@ -53,8 +53,8 @@ def stopping_level(n: int, dim: int) -> int:
     2^(j*d) <= n < 2^((j+1)*d), and the first level with ceil(k/d) = j
     is d*(j-1)+1 (or 0 when j = 0).
     """
-    if n < 1:
-        raise ValueError("stopping level requires n >= 1")
+    if n < 1 or dim < 1:
+        raise ValueError("stopping level requires n >= 1 and dim >= 1")
     j = 0
     while 2 ** ((j + 1) * dim) <= n:
         j += 1
@@ -376,14 +376,20 @@ def _cut(lo: np.ndarray, hi: np.ndarray, frac) -> np.ndarray:
     return lo * (1.0 - frac) + hi * frac
 
 
-def _split_preimages(tree: DyadicTree, level: int, lo: np.ndarray, hi: np.ndarray):
-    """Corners of the level-`level` box preimages under S_level from their parents'."""
-    c = split_coordinate(level, tree.dim)
+def _split(level: int, lo: np.ndarray, hi: np.ndarray, frac):
+    """Children of every box along the level's split coordinate, the left child
+    taking the fraction `frac` of its parent."""
+    c = split_coordinate(level, lo.shape[1])
     lo, hi = np.repeat(lo, 2, axis=0), np.repeat(hi, 2, axis=0)
-    cut = _cut(lo[0::2, c], hi[0::2, c], tree.rho_left(level) / 2.0)
+    cut = _cut(lo[0::2, c], hi[0::2, c], frac)
     hi[0::2, c] = cut
     lo[1::2, c] = cut
     return lo, hi
+
+
+def _split_preimages(tree: DyadicTree, level: int, lo: np.ndarray, hi: np.ndarray):
+    """Corners of the level-`level` box preimages under S_level from their parents'."""
+    return _split(level, lo, hi, tree.rho_left(level) / 2.0)
 
 
 def _point_preimages(h: HierarchicalMap, lo_box: np.ndarray, hi_box: np.ndarray):
@@ -406,6 +412,10 @@ def _domain(tree: DyadicTree):
     return np.zeros((1, tree.dim)), np.full((1, tree.dim), tree.side)
 
 
+def _centre_width(lo: np.ndarray, hi: np.ndarray):
+    return (lo + hi) / 2.0, hi - lo
+
+
 def preimage_boxes(h: HierarchicalMap) -> tuple[np.ndarray, np.ndarray]:
     """Lower and upper corners of T^(-1)(X_n) for every sample point; each box has volume L^d/N."""
     lo, hi = _domain(h.tree)
@@ -420,8 +430,7 @@ def map_cost_exact(h: HierarchicalMap) -> float:
     T is constant on each preimage box (centre c_n, widths w_n, volume L^d/N),
     so the integral is (1/N) sum_n (|X_n - c_n|^2 + sum_i w_(n,i)^2 / 12).
     """
-    lower, upper = preimage_boxes(h)
-    centres, widths = (lower + upper) / 2.0, upper - lower
+    centres, widths = _centre_width(*preimage_boxes(h))
     sq = ((h.tree.cloud.points - centres) ** 2).sum(axis=1) + (widths**2).sum(axis=1) / 12.0
     return float(sq.mean())
 
@@ -474,11 +483,37 @@ def coupling_cost_exact(t: HierarchicalMap, s: HierarchicalMap) -> float:
 # Per-level cost recursion audit.
 
 
+def level_costs_exact(tree: DyadicTree) -> tuple[np.ndarray, np.ndarray]:
+    """Per level k = 0..k*: (1/L^d) int |S_k - id|^2 and the cross term
+    (1/L^d) int (S_(k-1) - id) . (S_k - S_(k-1)), in closed form.
+
+    S_k maps the preimage P of each level-k box B diagonal-affinely onto B, and
+    S_(k-1) maps P onto Q, the parent box cut at rho_left/2. With centres c and
+    side widths w, a box contributes vol(P)/L^d times
+    |c_B - c_P|^2 + sum_i (w_B - w_P)^2 / 12 to the first and
+    (c_Q - c_P).(c_B - c_Q) + sum_i (w_Q - w_P)(w_B - w_Q) / 12 to the second.
+    """
+    sq, cross = np.zeros(tree.k_star + 1), np.zeros(tree.k_star + 1)
+    lo_p, hi_p = lo_b, hi_b = _domain(tree)
+    for level in range(1, tree.k_star + 1):
+        frac = tree.rho_left(level) / 2.0
+        c_q, w_q = _centre_width(*_split(level, lo_b, hi_b, frac))
+        lo_p, hi_p = _split(level, lo_p, hi_p, frac)
+        lo_b, hi_b = _split(level, lo_b, hi_b, 0.5)
+        (c_p, w_p), (c_b, w_b) = _centre_width(lo_p, hi_p), _centre_width(lo_b, hi_b)
+        weight = w_p.prod(axis=1) / tree.side**tree.dim
+        sq[level] = weight @ (((c_b - c_p) ** 2).sum(axis=1) + ((w_b - w_p) ** 2).sum(axis=1) / 12.0)
+        cross[level] = weight @ (
+            ((c_q - c_p) * (c_b - c_q)).sum(axis=1) + ((w_q - w_p) * (w_b - w_q)).sum(axis=1) / 12.0
+        )
+    return sq, cross
+
+
 @dataclass(frozen=True)
 class AuditRow:
     level: int
     scale: float  # L_k
-    mean_sq: float  # E int |S_k - id|^2 d(uniform), Monte Carlo over seeds
+    mean_sq: float  # E int |S_k - id|^2 d(uniform), mean over the ensemble
     stderr: float
     increment: float  # mean_sq[k] - mean_sq[k-1]
     cross_term: float  # E int (S_(k-1) - id) . (T_k - id) o S_(k-1)
@@ -492,7 +527,6 @@ class RecursionAudit:
     dim: int
     side: float
     trials: int
-    probes: int
     rows: list
     admissible_c: float  # max over levels
 
@@ -502,34 +536,24 @@ def recursion_audit(
     dim: int,
     side: float = 1.0,
     trials: int = 100,
-    probes: int = 20_000,
     master_seed: int = 0,
 ) -> RecursionAudit:
-    """Estimate the per-level costs of the composed map over an ensemble of clouds.
+    """Per-level costs of the composed map over an ensemble of clouds.
 
-    For each level reports E int |S_k - id|^2 against the uniform measure, the
-    increment over the previous level, the mixed cross term, and the smallest
-    constant C that makes the one-step recursion
+    Each cloud's terms are exact (`level_costs_exact`); the error bars are the
+    spread over the ensemble. For each level reports E int |S_k - id|^2 against
+    the uniform measure, the increment over the previous level, the mixed cross
+    term, and the smallest constant C that makes the one-step recursion
     E_k <= C (L_k/r)^(2-d) r^2 + (1 + C (r/L_k)^d) E_(k-1) hold.
     """
     if trials < 2:
         raise ValueError("audit needs at least 2 trials")
     k_star = stopping_level(n, dim)
-    sq_sums = np.zeros((trials, k_star + 1))
-    cross_sums = np.zeros((trials, k_star + 1))
-    for trial in range(trials):
-        cloud = sample_uniform(n, side, dim, substream_seed(master_seed, trial, 0))
-        h = build_map(cloud)
-        rng = np.random.default_rng(np.uint64(substream_seed(master_seed, trial, 1)))
-        xs = rng.random((probes, dim)) * side
-        _, _, history = _descend(h, xs, record_levels=True)
-        for k in range(k_star + 1):
-            disp = history[k] - xs
-            sq_sums[trial, k] = (disp**2).sum(axis=1).mean()
-            if k >= 1:
-                step = history[k] - history[k - 1]
-                cross_sums[trial, k] = ((history[k - 1] - xs) * step).sum(axis=1).mean()
-
+    terms = np.array([
+        level_costs_exact(build_tree(sample_uniform(n, side, dim, substream_seed(master_seed, trial, 0))))
+        for trial in range(trials)
+    ])
+    sq_sums, cross_sums = terms[:, 0], terms[:, 1]
     r = side * n ** (-1.0 / dim)
     means = sq_sums.mean(axis=0)
     errs = sq_sums.std(axis=0, ddof=1) / np.sqrt(trials)
@@ -551,4 +575,4 @@ def recursion_audit(
         rows.append(
             AuditRow(k, lk, means[k], errs[k], increment, cross_means[k], cross_errs[k], c_k)
         )
-    return RecursionAudit(n=n, dim=dim, side=side, trials=trials, probes=probes, rows=rows, admissible_c=worst_c)
+    return RecursionAudit(n=n, dim=dim, side=side, trials=trials, rows=rows, admissible_c=worst_c)

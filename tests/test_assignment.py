@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -137,6 +139,19 @@ def test_lp_two_by_two_diagonal():
     lp = asg.match_lp(c)
     assert lp.cost == pytest.approx(0.0, abs=1e-12)
     assert np.allclose(lp.weights, np.eye(2), atol=1e-9)
+
+
+def test_lp_equals_solver_at_size_limit():
+    x, y = _pair(asg.LP_SIZE_LIMIT, 2, 64)
+    c = asg.cost_matrix(x, y)
+    assert asg.match_lp(c).cost == pytest.approx(asg.match_solver(c).cost, abs=1e-9)
+
+
+def test_lp_solver_failure_raises(monkeypatch):
+    failed = SimpleNamespace(status=2, message="infeasible")
+    monkeypatch.setattr(asg, "linprog", lambda *args, **kwargs: failed)
+    with pytest.raises(RuntimeError, match="infeasible"):
+        asg.match_lp(asg.CostMatrix(2, np.eye(2)))
 
 
 def test_lp_refuses_large_instance():

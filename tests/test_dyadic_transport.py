@@ -59,6 +59,12 @@ def test_stopping_scale_brackets_r():
         assert 2 * r > lk >= r * (1 - 1e-12)
 
 
+@pytest.mark.parametrize("n, dim", [(0, 2), (4, 0)])
+def test_stopping_level_rejects_empty_or_dimensionless(n, dim):
+    with pytest.raises(ValueError):
+        dy.stopping_level(n, dim)
+
+
 def test_preimage_volume_product_identity():
     for seed, (n, dim) in enumerate([(3, 1), (17, 2), (200, 3), (256, 2)]):
         tree = dy.build_tree(geo.sample_uniform(n, 1.0, dim, seed))
@@ -324,15 +330,30 @@ def test_coupling_exact_rejects_mismatched_clouds():
 # --- recursion audit ----------------------------------------------------------
 
 
+@pytest.mark.parametrize("dim, n", [(1, 64), (2, 1024), (3, 512)])
+def test_level_costs_exact_match_monte_carlo_oracle(dim, n):
+    h = dy.build_map(geo.sample_uniform(n, 2.5, dim, 120 + dim))
+    sq, cross = dy.level_costs_exact(h.tree)
+    xs = np.random.default_rng(dim).random((200_000, dim)) * 2.5
+    _, _, history = dy._descend(h, xs, record_levels=True)
+    assert len(history) == sq.size == cross.size == h.tree.k_star + 1
+    for k in range(1, h.tree.k_star + 1):
+        disp_sq = ((history[k] - xs) ** 2).sum(axis=1)
+        mixed = ((history[k - 1] - xs) * (history[k] - history[k - 1])).sum(axis=1)
+        for exact, samples in ((sq[k], disp_sq), (cross[k], mixed)):
+            se = samples.std(ddof=1) / math.sqrt(samples.size)
+            assert abs(exact - samples.mean()) <= 4 * se
+
+
 def test_audit_level_zero_is_identity():
-    audit = dy.recursion_audit(16, 1, trials=5, probes=2_000, master_seed=0)
+    audit = dy.recursion_audit(16, 1, trials=5, master_seed=0)
     assert audit.rows[0].mean_sq == 0.0
     assert audit.rows[0].increment == 0.0
 
 
 def test_audit_d1_increments_grow_with_scale():
     # d = 1: per-level increments scale like L_k, so coarse levels dominate
-    audit = dy.recursion_audit(64, 1, trials=120, probes=8_000, master_seed=5)
+    audit = dy.recursion_audit(64, 1, trials=120, master_seed=5)
     inc = np.array([row.increment for row in audit.rows[1:]])
     scales = np.array([row.scale for row in audit.rows[1:]])
     assert inc[0] > inc[-1]
@@ -342,6 +363,6 @@ def test_audit_d1_increments_grow_with_scale():
 
 def test_audit_d2_increments_level_independent():
     # critical dimension: every level contributes comparably
-    audit = dy.recursion_audit(1024, 2, trials=80, probes=8_000, master_seed=6)
+    audit = dy.recursion_audit(1024, 2, trials=80, master_seed=6)
     inc = np.array([row.increment for row in audit.rows[1:]])
     assert inc.max() / inc.min() <= 4.0
