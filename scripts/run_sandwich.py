@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Per-instance sandwich: dual certificate <= exact optimum <= dyadic coupling.
+"""Per-instance sandwich: dual lower bound <= exact optimum <= dyadic coupling.
 
 Runs the upper-bound and lower-bound pipelines on a shared ensemble and prints
 how tightly the two constructive bounds bracket the exact matching cost.

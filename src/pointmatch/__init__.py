@@ -2,7 +2,7 @@
 
 Exact matching costs (brute force, assignment solver, Kantorovich LP),
 a hierarchical dyadic transport map giving per-instance upper bounds,
-a dual potential giving per-instance lower-bound certificates, and a
+a dual potential giving per-instance lower bounds, and a
 Monte Carlo harness reproducing the dimension-dependent cost asymptotics.
 """
 

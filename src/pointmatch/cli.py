@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import time
@@ -50,13 +51,14 @@ class ExperimentConfig:
         min_trials = 2 if self.subcommand in ("scaling", "lemma-check") else 1
         checks = [
             (self.dim >= 1, f"--dim must be >= 1, got {self.dim}"),
-            (self.side > 0, f"--side must be > 0, got {self.side}"),
+            (math.isfinite(self.side) and self.side > 0, f"--side must be finite and > 0, got {self.side}"),
             (all(n >= 1 for n in self.n_values), f"every --n must be >= 1, got {list(self.n_values)}"),
             (all(t >= min_trials for t in self.trials),
              f"{self.subcommand} needs at least {min_trials} trial(s) per run, got {list(self.trials)}"),
             (self.workers >= 1, f"--workers must be >= 1, got {self.workers}"),
             (self.grid_divisor >= 1, f"--grid-divisor must be >= 1, got {self.grid_divisor}"),
             (all(0.0 <= t <= 1.0 for t in self.thetas), f"every --theta must lie in [0, 1], got {list(self.thetas)}"),
+            (self.c_bound > 0, f"--c-bound must be > 0, got {self.c_bound}"),
         ]
         if self.subcommand == "scaling":
             checks += [
@@ -91,6 +93,8 @@ def _merge(args: argparse.Namespace, defaults: dict) -> dict:
     if getattr(args, "config", None):
         with open(args.config) as f:
             from_file = json.load(f)
+        if not isinstance(from_file, dict):
+            raise ValueError(f"--config {args.config} must hold a JSON object, got {type(from_file).__name__}")
     merged = {}
     for key, fallback in defaults.items():
         flag = getattr(args, key, None)
@@ -108,8 +112,23 @@ def _merge(args: argparse.Namespace, defaults: dict) -> dict:
                 val = tuple(val)
             elif len(val) == 1:
                 val = val[0]
+        if not _same_kind(val, fallback):
+            raise ValueError(f"--config {args.config}: {key!r} = {val!r} does not have the type of its default {fallback!r}")
         merged[key] = val
     return merged
+
+
+def _same_kind(val, fallback) -> bool:
+    """Whether a config-file value has the type of the option's default (None stands for a path)."""
+    if fallback is None:
+        return val is None or isinstance(val, str)
+    if isinstance(fallback, tuple):
+        return isinstance(val, tuple) and all(_same_kind(v, fallback[0]) for v in val)
+    if isinstance(val, bool) or isinstance(fallback, bool):
+        return type(val) is type(fallback)
+    if isinstance(fallback, float):
+        return isinstance(val, (int, float))
+    return isinstance(val, type(fallback))
 
 
 def _emit_json(payload: dict, path: str | None) -> None:
@@ -358,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p, seeds=True)
     p.set_defaults(func=cmd_upper_bound)
 
-    p = sub.add_parser("lower-bound", help="dual certificates vs the optimum, gain = mean of the potential over the x-cloud (its spatial mean is exactly 0); CSV rows (seed, gain, sup_grad_sq, certified_lower_bound, optimal_cost)")
+    p = sub.add_parser("lower-bound", help="dual lower bounds (gradient supremum estimated on a grid) vs the optimum, gain = mean of the potential over the x-cloud (its spatial mean is exactly 0); CSV rows (seed, gain, sup_grad_sq, certified_lower_bound, optimal_cost)")
     p.add_argument("--n", type=int)
     p.add_argument("--grid-divisor", dest="grid_divisor", type=int, help="sup-gradient grid spacing divisor")
     p.add_argument("--out", help="CSV path")

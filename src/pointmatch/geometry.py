@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,8 +73,8 @@ def sample_uniform(n: int, side: float, dim: int, seed: int) -> PointCloud:
     """Draw n i.i.d. uniform points in [0, side]^dim, reproducibly from seed."""
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
-    if not side > 0:
-        raise ValueError(f"side must be > 0, got {side}")
+    if not (math.isfinite(side) and side > 0):
+        raise ValueError(f"side must be finite and > 0, got {side}")
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     rng = np.random.default_rng(np.uint64(seed))

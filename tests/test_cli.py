@@ -52,18 +52,49 @@ def test_unknown_flag_exits_2(capsys):
         ["lower-bound", "--grid-divisor", "0"],
         ["upper-bound", "--probes", "10"],
         ["lower-bound", "--probes", "10"],
+        ["scaling", "--n", "4,8,16", "--trials", "2", "--side", "inf", "--workers", "1"],
+        ["upper-bound", "--side", "nan"],
+        ["lemma-check", "--c-bound", "-1"],
+        ["lemma-check", "--c-bound", "0"],
     ],
 )
 def test_bad_configuration_exits_2_before_any_work(capsys, monkeypatch, argv):
-    def no_work(*args, **kwargs):
-        raise AssertionError("a bad configuration reached the experiment")
-
-    for name in ("sample_pair", "scaling_experiment"):
-        monkeypatch.setattr(cli.xp, name, no_work)
+    _forbid_work(monkeypatch)
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
     assert "error" in err
+
+
+@pytest.mark.parametrize(
+    "subcommand,content",
+    [
+        ("upper-bound", {"n": "abc"}),
+        ("upper-bound", [1, 2]),
+        ("lower-bound", {"side": "1.0"}),
+        ("lower-bound", {"seeds": True}),
+        ("scaling", {"n": [4, 8, "16"]}),
+        ("scaling", {"n": 16}),
+        ("lemma-check", {"c_bound": None}),
+        ("upper-bound", "n"),
+    ],
+)
+def test_bad_config_file_exits_2_before_any_work(tmp_path, capsys, monkeypatch, subcommand, content):
+    _forbid_work(monkeypatch)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(content))
+    code, out, err = run_cli(capsys, subcommand, "--config", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def _forbid_work(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a bad configuration reached the experiment")
+
+    for name in ("sample_pair", "scaling_experiment", "box_counts_ensemble"):
+        monkeypatch.setattr(cli.xp, name, no_work)
 
 
 def test_unknown_method_exits_2(capsys):

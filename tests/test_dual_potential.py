@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pointmatch import assignment as asg
+from pointmatch import cli
 from pointmatch import dual_potential as dp
 from pointmatch import dyadic_transport as dy
 from pointmatch import geometry as geo
@@ -266,6 +268,70 @@ def test_potential_requires_matching_cloud():
     z = geo.sample_uniform(16, 1.0, 2, 81)
     with pytest.raises(ValueError):
         dp.dual_lower_bound(z, x, pot)
+
+
+# --- the sup-gradient grid -------------------------------------------------------
+
+
+def _grid_oracle(pot, spacing_divisor=8):
+    """|grad Phi|^2 point by point: potential_eval_batch on every meshgrid point."""
+    tree = pot.tree
+    h = dy.level_scale(tree.k_star, tree.dim, tree.side) / spacing_divisor
+    axis = np.linspace(0.0, tree.side, int(round(tree.side / h)) + 1)
+    pts = np.stack([m.ravel() for m in np.meshgrid(*[axis] * tree.dim, indexing="ij")], axis=1)
+    _, grads = dp.potential_eval_batch(pot, pts)
+    return pts, (grads**2).sum(axis=1)
+
+
+@pytest.mark.parametrize("divisor", [1, 3, 8])
+@pytest.mark.parametrize("side", [1.0, 2.5])
+@pytest.mark.parametrize("dim,n", [(1, 64), (2, 256), (3, 64)])
+def test_grid_is_bit_identical_to_pointwise_oracle(dim, n, side, divisor):
+    _, pot = _potential(n, dim, 17 + dim, side)
+    pts, vals = dp.grad_sq_on_grid(pot, divisor)
+    want_pts, want_vals = _grid_oracle(pot, divisor)
+    assert np.array_equal(pts, want_pts)
+    assert np.array_equal(vals, want_vals)
+    assert vals.max() > 0
+
+
+@pytest.mark.parametrize("dim,n", [(2, 256), (3, 64)])
+def test_grid_of_partial_potential_is_bit_identical_to_pointwise_oracle(dim, n):
+    cloud, pot = _potential(n, dim, 19, 2.5)
+    for level in (0, 1, pot.tree.k_star - 2):
+        partial = dp.hierarchical_potential(pot.tree, level=level)
+        pts, vals = dp.grad_sq_on_grid(partial, 3)
+        want_pts, want_vals = _grid_oracle(partial, 3)
+        assert np.array_equal(pts, want_pts)
+        assert np.array_equal(vals, want_vals)
+
+
+def test_lower_bound_cli_is_bit_identical_through_pointwise_grid(tmp_path, capsys, monkeypatch):
+    argv = ["lower-bound", "--n", "64", "--dim", "3", "--seeds", "3", "--seed", "5"]
+    code = cli.run(argv + ["--out", str(tmp_path / "fast.csv")])
+    fast = json.loads(capsys.readouterr().out)
+    monkeypatch.setattr(dp, "grad_sq_on_grid", _grid_oracle)
+    code_oracle = cli.run(argv + ["--out", str(tmp_path / "oracle.csv")])
+    oracle = json.loads(capsys.readouterr().out)
+    assert code == code_oracle == 0
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+    assert fast["results"] == oracle["results"]
+    assert fast["fit"] == oracle["fit"]
+
+
+def test_one_batch_gain_and_gap_equal_separate_batches():
+    x, pot = _potential(256, 2, 23)
+    y = geo.sample_uniform(256, 1.0, 2, 24)
+    report = dp.lower_bound_functional(x, pot, cloud_y=y)
+    vx, _ = dp.potential_eval_batch(pot, x.points)
+    vy, _ = dp.potential_eval_batch(pot, y.points)
+    gap = float(vx.mean() - vy.mean())
+    assert gap > 0
+    assert report.gain == report.point_mean == float(vx.mean())
+    assert report.gap == gap
+    assert report.lower_bound == gap**2 / report.sup_grad_sq
+    assert report.lower_bound == dp.dual_lower_bound(x, y, pot)
+    assert dp.lower_bound_functional(x, pot).gap is None
 
 
 def test_sup_grad_reporting_both_orders():

@@ -116,3 +116,9 @@ def test_substream_seeds_distinct():
     assert len(seeds) == 100
     assert geo.substream_seed(5, 3) == geo.substream_seed(5, 3)
     assert geo.substream_seed(5, 3, 0) != geo.substream_seed(5, 3, 1)
+
+
+@pytest.mark.parametrize("side", [0.0, -1.0, math.inf, math.nan])
+def test_sample_uniform_rejects_bad_side(side):
+    with pytest.raises(ValueError, match="side"):
+        geo.sample_uniform(4, side, 2, 0)
