@@ -26,6 +26,7 @@ from .dyadic_transport import (
 from .geometry import PointCloud
 
 ZETA_SCALE = 140.0  # normalizes int_0^1 x^3 (1-x)^3 dx = 1/140
+GRID_SLAB_POINTS = 1 << 15  # grid points per slab in grad_sq_on_grid
 
 
 def _zeta_val(x: np.ndarray) -> np.ndarray:
@@ -241,7 +242,9 @@ def grad_sq_on_grid(p: DualPotential, spacing_divisor: int = 8):
     Returns (grid points, values), both flat in `indexing="ij"` order; the grid
     includes the domain boundary where the potential vanishes identically.
     Every per-level factor depends on one coordinate, so it is evaluated on the
-    axis values alone and the full grid only sees broadcast products.
+    axis values alone and the grid only sees broadcast products. The grid is
+    walked in slabs of axis-0 values, about GRID_SLAB_POINTS points each, so
+    the per-level temporaries never span the whole grid.
     """
     tree = p.tree
     d, side = tree.dim, tree.side
@@ -249,15 +252,22 @@ def grad_sq_on_grid(p: DualPotential, spacing_divisor: int = 8):
     axis = np.linspace(0.0, side, int(round(side / h)) + 1)
     shape = (axis.size,) * d
     xs = [axis.reshape([-1 if j == i else 1 for j in range(d)]) for i in range(d)]
-    grads = [np.zeros(shape) for _ in range(d)]
-    for _, g in _level_walk(p, xs):
-        for acc, gi in zip(grads, g):
-            acc += gi
-    out = grads[0] ** 2
-    for g in grads[1:]:
-        out += g**2
-    pts = np.stack([m.ravel() for m in np.meshgrid(*[axis] * d, indexing="ij")], axis=1)
-    return pts, out.ravel()
+    pts = np.empty(shape + (d,))
+    for i, x in enumerate(xs):
+        pts[..., i] = x
+    out = np.empty(shape)
+    rows = max(1, GRID_SLAB_POINTS // axis.size ** (d - 1))
+    for start in range(0, axis.size, rows):
+        slab = [xs[0][start : start + rows]] + xs[1:]
+        grads = [np.zeros((slab[0].shape[0],) + shape[1:]) for _ in range(d)]
+        for _, g in _level_walk(p, slab):
+            for acc, gi in zip(grads, g):
+                acc += gi
+        sq = out[start : start + rows]
+        np.square(grads[0], out=sq)
+        for g in grads[1:]:
+            sq += g**2
+    return pts.reshape(-1, d), out.ravel()
 
 
 def sup_grad_sq(p: DualPotential, spacing_divisor: int = 8, inflation: float = 1.05) -> float:
@@ -277,40 +287,40 @@ def _inflated_max(grid_vals: np.ndarray, inflation: float) -> float:
 
 @dataclass(frozen=True)
 class GainReport:
-    gain: float  # mean Phi over the cloud minus the spatial mean of Phi, which is exactly zero
+    gain: float  # mean Phi over the x-cloud minus the spatial mean of Phi, which is exactly zero
     point_mean: float
     sup_grad_sq: float
     grid_grad_sq: np.ndarray  # |grad Phi|^2 on the grid behind sup_grad_sq
-    gap: float | None = None  # mean Phi over the x-cloud minus over the y-cloud, when one is given
-    lower_bound: float | None = None  # the dual lower bound from gap and sup_grad_sq, likewise
+    gap: float  # mean Phi over the x-cloud minus over the y-cloud
+    lower_bound: float  # gap^2 / sup_grad_sq, or 0 for a nonpositive gap
 
 
 def lower_bound_functional(
     cloud_x: PointCloud,
+    cloud_y: PointCloud,
     p: DualPotential,
     spacing_divisor: int = 8,
     inflation: float = 1.05,
-    cloud_y: PointCloud | None = None,
 ) -> GainReport:
-    """Empirical dual gain of a potential built from the cloud's own tree.
+    """Empirical dual gain, gap and lower bound of a potential built from cloud_x's own tree.
 
     Every block zeta(u) - zeta(u - 1) integrates to zero, so the gain is the
-    mean of Phi over the cloud. Given cloud_y too, Phi is evaluated on both
-    clouds in one batch and the report also carries the gap and the lower
-    bound of `dual_lower_bound`.
+    mean of Phi over cloud_x. Phi is evaluated on both clouds in one batch;
+    the lower bound is the one `dual_lower_bound` returns.
     """
     _check_same_cloud(cloud_x, p)
-    means = _point_means(p, [cloud_x] if cloud_y is None else [cloud_x, cloud_y])
+    if cloud_y.n != cloud_x.n or cloud_y.dim != cloud_x.dim or cloud_y.side != cloud_x.side:
+        raise ValueError("clouds must share size, dim and side")
+    values, _ = potential_eval_batch(p, np.concatenate([cloud_x.points, cloud_y.points]))
+    mean_x, mean_y = float(values[: cloud_x.n].mean()), float(values[cloud_x.n :].mean())
     _, grid = grad_sq_on_grid(p, spacing_divisor)
     sup_sq = _inflated_max(grid, inflation)
-    gap = bound = None
-    if cloud_y is not None:
-        gap = means[0] - means[1]
-        # a nonpositive gap certifies nothing; sup_sq is 0 only for the
-        # all-balanced potential, whose gap is 0 too
-        bound = gap**2 / sup_sq if gap > 0.0 and sup_sq > 0.0 else 0.0
+    gap = mean_x - mean_y
+    # a nonpositive gap certifies nothing; sup_sq is 0 only for the
+    # all-balanced potential, whose gap is 0 too
+    bound = gap**2 / sup_sq if gap > 0.0 and sup_sq > 0.0 else 0.0
     return GainReport(
-        gain=means[0], point_mean=means[0], sup_grad_sq=sup_sq, grid_grad_sq=grid, gap=gap, lower_bound=bound
+        gain=mean_x, point_mean=mean_x, sup_grad_sq=sup_sq, grid_grad_sq=grid, gap=gap, lower_bound=bound
     )
 
 
@@ -330,16 +340,7 @@ def dual_lower_bound(
     bound holds only as far as that estimate does. A nonpositive gap certifies
     nothing and returns 0.
     """
-    return lower_bound_functional(cloud_x, p, spacing_divisor, inflation, cloud_y=cloud_y).lower_bound
-
-
-def _point_means(p: DualPotential, clouds: list) -> list:
-    """Mean of Phi over each cloud, from one batch over all their points."""
-    first = clouds[0]
-    if any(c.n != first.n or c.dim != first.dim or c.side != first.side for c in clouds):
-        raise ValueError("clouds must share size, dim and side")
-    values, _ = potential_eval_batch(p, np.concatenate([c.points for c in clouds]))
-    return [float(v.mean()) for v in np.split(values, len(clouds))]
+    return lower_bound_functional(cloud_x, cloud_y, p, spacing_divisor, inflation).lower_bound
 
 
 def _check_same_cloud(cloud: PointCloud, p: DualPotential) -> None:

@@ -117,7 +117,7 @@ def lower_bound_row(
     estimate (see dual_potential.sup_grad_sq)."""
     x, y = sample_pair(cfg, seed)
     pot = dp.hierarchical_potential(dy.build_tree(x))
-    report = dp.lower_bound_functional(x, pot, spacing_divisor=spacing_divisor, inflation=inflation, cloud_y=y)
+    report = dp.lower_bound_functional(x, y, pot, spacing_divisor=spacing_divisor, inflation=inflation)
     row = LowerBoundRow(
         seed=seed,
         gain=report.gain,

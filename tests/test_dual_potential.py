@@ -154,9 +154,11 @@ def test_balanced_counts_give_zero_gain():
     pts = np.array([[0.125], [0.375], [0.625], [0.875]])
     cloud = _cloud_from(pts)
     pot = dp.hierarchical_potential(dy.build_tree(cloud))
-    report = dp.lower_bound_functional(cloud, pot)
+    report = dp.lower_bound_functional(cloud, cloud, pot)
     assert report.point_mean == 0.0
     assert report.sup_grad_sq == 0.0
+    assert report.gap == 0.0
+    assert report.lower_bound == 0.0
 
 
 def test_zero_mean_identity_over_seeds():
@@ -283,27 +285,20 @@ def _grid_oracle(pot, spacing_divisor=8):
     return pts, (grads**2).sum(axis=1)
 
 
+@pytest.mark.parametrize("level", ["k_star", 0, 1, "k_star-2"])
 @pytest.mark.parametrize("divisor", [1, 3, 8])
 @pytest.mark.parametrize("side", [1.0, 2.5])
 @pytest.mark.parametrize("dim,n", [(1, 64), (2, 256), (3, 64)])
-def test_grid_is_bit_identical_to_pointwise_oracle(dim, n, side, divisor):
+def test_grid_is_bit_identical_to_pointwise_oracle(dim, n, side, divisor, level):
     _, pot = _potential(n, dim, 17 + dim, side)
+    k_star = pot.tree.k_star
+    pot = dp.hierarchical_potential(pot.tree, level={"k_star": k_star, "k_star-2": k_star - 2}.get(level, level))
     pts, vals = dp.grad_sq_on_grid(pot, divisor)
     want_pts, want_vals = _grid_oracle(pot, divisor)
     assert np.array_equal(pts, want_pts)
     assert np.array_equal(vals, want_vals)
-    assert vals.max() > 0
-
-
-@pytest.mark.parametrize("dim,n", [(2, 256), (3, 64)])
-def test_grid_of_partial_potential_is_bit_identical_to_pointwise_oracle(dim, n):
-    cloud, pot = _potential(n, dim, 19, 2.5)
-    for level in (0, 1, pot.tree.k_star - 2):
-        partial = dp.hierarchical_potential(pot.tree, level=level)
-        pts, vals = dp.grad_sq_on_grid(partial, 3)
-        want_pts, want_vals = _grid_oracle(partial, 3)
-        assert np.array_equal(pts, want_pts)
-        assert np.array_equal(vals, want_vals)
+    if level == "k_star":
+        assert vals.max() > 0
 
 
 def test_lower_bound_cli_is_bit_identical_through_pointwise_grid(tmp_path, capsys, monkeypatch):
@@ -322,7 +317,7 @@ def test_lower_bound_cli_is_bit_identical_through_pointwise_grid(tmp_path, capsy
 def test_one_batch_gain_and_gap_equal_separate_batches():
     x, pot = _potential(256, 2, 23)
     y = geo.sample_uniform(256, 1.0, 2, 24)
-    report = dp.lower_bound_functional(x, pot, cloud_y=y)
+    report = dp.lower_bound_functional(x, y, pot)
     vx, _ = dp.potential_eval_batch(pot, x.points)
     vy, _ = dp.potential_eval_batch(pot, y.points)
     gap = float(vx.mean() - vy.mean())
@@ -331,7 +326,6 @@ def test_one_batch_gain_and_gap_equal_separate_batches():
     assert report.gap == gap
     assert report.lower_bound == gap**2 / report.sup_grad_sq
     assert report.lower_bound == dp.dual_lower_bound(x, y, pot)
-    assert dp.lower_bound_functional(x, pot).gap is None
 
 
 def test_sup_grad_reporting_both_orders():
