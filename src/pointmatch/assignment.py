@@ -3,8 +3,10 @@
 Three independent routes to the optimum of (1/N) min_sigma sum |Y_sigma(n) - X_n|^2:
 factorial enumeration (the oracle, tiny N), a dense shortest-augmenting-path
 assignment solver, and the Kantorovich linear program over bistochastic matrices
-solved by HiGHS, a code path independent of the assignment solver. All costs
-carry the 1/N normalization.
+solved by HiGHS, a code path independent of the assignment solver. A coupling
+is rounded to a permutation by the assignment solver restricted to the
+coupling's support (Birkhoff-von Neumann: never above the coupling's cost).
+All costs carry the 1/N normalization.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from .geometry import PointCloud
 
 BRUTE_FORCE_LIMIT = 10
 LP_SIZE_LIMIT = 64
-_FRAC_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -154,94 +155,26 @@ def match_lp(c: CostMatrix) -> TransportPlan:
 
 
 def round_to_permutation(plan: TransportPlan, c: CostMatrix) -> TransportPlan:
-    """Cancel fractional cycles of a coupling until a permutation remains.
+    """The cheapest permutation inside a coupling's support.
 
-    Repeatedly locates a cycle of strictly fractional entries, shifts mass by the
-    minimal entry along the cycle in whichever direction does not increase cost,
-    and zeroes at least one entry per step; cost never increases.
+    By Birkhoff-von Neumann a bistochastic coupling is a convex combination of
+    permutations, each inside its support, so the cheapest of them, found by
+    the assignment solver with the entries outside the support forbidden,
+    costs at most the coupling does. Raises ValueError if the weights hold no
+    permutation in their support, so they are not a coupling.
     """
     if plan.kind == "permutation":
         return plan
     if plan.weights is None:
         raise ValueError("coupling plan has no weights to round")
-    w = np.array(plan.weights, dtype=np.float64)
-    n = c.n
-    start_cost = coupling_cost(c, w)
-    for _ in range(n * n + 1):
-        frac = _first_fractional(w)
-        if frac is None:
-            break
-        cycle = _fractional_cycle(w, frac)
-        plus = cycle[0::2]
-        minus = cycle[1::2]
-        delta = sum(c.entries[cell] for cell in plus) - sum(c.entries[cell] for cell in minus)
-        if delta > 0:  # shifting + direction raises cost; go the other way
-            plus, minus = minus, plus
-        eps = min(w[cell] for cell in minus)
-        for cell in plus:
-            w[cell] += eps
-        for cell in minus:
-            w[cell] -= eps
-        w[np.abs(w) <= _FRAC_TOL] = 0.0
-        w[np.abs(w - 1.0) <= _FRAC_TOL] = 1.0
-    else:
-        raise AssertionError("cycle canceling failed to terminate on a valid coupling")
-    perm = np.argmax(w, axis=1).astype(np.intp)
-    if sorted(perm.tolist()) != list(range(n)):
-        raise AssertionError("rounded coupling is not a permutation")
+    w = np.asarray(plan.weights, dtype=np.float64)
+    try:
+        rows, cols = linear_sum_assignment(np.where(w > 0, c.entries, np.inf))
+    except ValueError as err:
+        raise ValueError(f"weights are not a coupling: no permutation lies in their support ({err})") from err
+    perm = np.empty(c.n, dtype=np.intp)
+    perm[rows] = cols
     cost = perm_cost(c, perm)
-    if cost > start_cost + 1e-9:
+    if cost > coupling_cost(c, w) + 1e-9:
         raise AssertionError("rounding increased the cost")
     return TransportPlan(kind="permutation", cost=cost, perm=perm)
-
-
-def _first_fractional(w: np.ndarray):
-    frac = (w > _FRAC_TOL) & (w < 1.0 - _FRAC_TOL)
-    idx = np.argwhere(frac)
-    return None if idx.size == 0 else (int(idx[0, 0]), int(idx[0, 1]))
-
-
-def _fractional_cycle(w: np.ndarray, start):
-    """Closed alternating row/column walk through strictly fractional entries.
-
-    Row and column sums are integral, so every row or column touching a
-    fractional entry holds at least two of them; the walk cannot get stuck and
-    must revisit a row or column. Cutting at the edge that first left the
-    revisited row/column yields an even cycle whose cells alternate signs
-    consistently (one +, one - per row and per column).
-    """
-
-    def frac_in_col(j, avoid_i):
-        for i in np.flatnonzero((w[:, j] > _FRAC_TOL) & (w[:, j] < 1.0 - _FRAC_TOL)):
-            if i != avoid_i:
-                return int(i)
-        return None
-
-    def frac_in_row(i, avoid_j):
-        for j in np.flatnonzero((w[i] > _FRAC_TOL) & (w[i] < 1.0 - _FRAC_TOL)):
-            if j != avoid_j:
-                return int(j)
-        return None
-
-    path = [start]
-    # node -> index of the path cell that leaves it after its first visit
-    row_cut = {start[0]: 0}
-    col_cut = {start[1]: 1}
-    by_column = True
-    while True:
-        i, j = path[-1]
-        if by_column:
-            i2 = frac_in_col(j, i)
-            assert i2 is not None, "fractional column lost its partner"
-            if i2 in row_cut:
-                return path[row_cut[i2]:] + [(i2, j)]
-            row_cut[i2] = len(path) + 1
-            path.append((i2, j))
-        else:
-            j2 = frac_in_row(i, j)
-            assert j2 is not None, "fractional row lost its partner"
-            if j2 in col_cut:
-                return path[col_cut[j2]:] + [(i, j2)]
-            col_cut[j2] = len(path) + 1
-            path.append((i, j2))
-        by_column = not by_column

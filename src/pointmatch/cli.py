@@ -84,7 +84,7 @@ def _float_list(text: str) -> tuple:
 
 _MISSING = object()
 # accept the field names a JSON summary embeds, so a run's own config replays it
-_CONFIG_ALIASES = {"n": "n_values", "seed": "master_seed", "theta": "thetas"}
+_CONFIG_ALIASES = {"n": "n_values", "seed": "master_seed", "theta": "thetas", "seeds": "trials"}
 
 
 def _merge(args: argparse.Namespace, defaults: dict) -> dict:

@@ -6,7 +6,7 @@ planted on every dyadic box, weighted by the observed left/right count
 imbalance, and summed over levels. The resulting potential has zero spatial
 mean, vanishes with its gradient on all box boundaries, and its empirical-mean
 gap divided by its gradient supremum lower-bounds the matching cost. The
-supremum is estimated on a grid (see `sup_grad_sq`), so the reported bound is
+supremum is estimated on a grid (see `INFLATION`), so the reported bound is
 only as sound as that estimate.
 """
 
@@ -27,6 +27,12 @@ from .geometry import PointCloud
 
 ZETA_SCALE = 140.0  # normalizes int_0^1 x^3 (1-x)^3 dx = 1/140
 GRID_SLAB_POINTS = 1 << 15  # grid points per slab in grad_sq_on_grid
+# sup |grad Phi|^2 is estimated as the grid maximum times INFLATION**2. This is a
+# heuristic, not a proven upper bound: the margin is meant to cover the residual
+# between the grid maximum and the true supremum, but a finer grid can exceed it
+# (at N = 64, divisor 32 beats the inflated divisor-8 value on 4 of 40 seeds in
+# d = 2 and 13 of 40 in d = 3).
+INFLATION = 1.05
 
 
 def _zeta_val(x: np.ndarray) -> np.ndarray:
@@ -270,26 +276,10 @@ def grad_sq_on_grid(p: DualPotential, spacing_divisor: int = 8):
     return pts.reshape(-1, d), out.ravel()
 
 
-def sup_grad_sq(p: DualPotential, spacing_divisor: int = 8, inflation: float = 1.05) -> float:
-    """Grid estimate of sup |grad Phi|^2: the grid maximum inflated by a margin.
-
-    This is a heuristic, not a proven upper bound: the margin is meant to
-    cover the residual between the grid maximum and the true supremum, but a
-    finer grid can exceed it (at N = 64, divisor 32 beats the inflated
-    divisor-8 value on 4 of 40 seeds in d = 2 and 13 of 40 in d = 3)."""
-    _, vals = grad_sq_on_grid(p, spacing_divisor)
-    return _inflated_max(vals, inflation)
-
-
-def _inflated_max(grid_vals: np.ndarray, inflation: float) -> float:
-    return float(grid_vals.max() * inflation**2)
-
-
 @dataclass(frozen=True)
 class GainReport:
     gain: float  # mean Phi over the x-cloud minus the spatial mean of Phi, which is exactly zero
-    point_mean: float
-    sup_grad_sq: float
+    sup_grad_sq: float  # grid maximum of |grad Phi|^2 times INFLATION**2
     grid_grad_sq: np.ndarray  # |grad Phi|^2 on the grid behind sup_grad_sq
     gap: float  # mean Phi over the x-cloud minus over the y-cloud
     lower_bound: float  # gap^2 / sup_grad_sq, or 0 for a nonpositive gap
@@ -300,7 +290,6 @@ def lower_bound_functional(
     cloud_y: PointCloud,
     p: DualPotential,
     spacing_divisor: int = 8,
-    inflation: float = 1.05,
 ) -> GainReport:
     """Empirical dual gain, gap and lower bound of a potential built from cloud_x's own tree.
 
@@ -314,14 +303,12 @@ def lower_bound_functional(
     values, _ = potential_eval_batch(p, np.concatenate([cloud_x.points, cloud_y.points]))
     mean_x, mean_y = float(values[: cloud_x.n].mean()), float(values[cloud_x.n :].mean())
     _, grid = grad_sq_on_grid(p, spacing_divisor)
-    sup_sq = _inflated_max(grid, inflation)
+    sup_sq = float(grid.max() * INFLATION**2)
     gap = mean_x - mean_y
     # a nonpositive gap certifies nothing; sup_sq is 0 only for the
     # all-balanced potential, whose gap is 0 too
     bound = gap**2 / sup_sq if gap > 0.0 and sup_sq > 0.0 else 0.0
-    return GainReport(
-        gain=mean_x, point_mean=mean_x, sup_grad_sq=sup_sq, grid_grad_sq=grid, gap=gap, lower_bound=bound
-    )
+    return GainReport(gain=mean_x, sup_grad_sq=sup_sq, grid_grad_sq=grid, gap=gap, lower_bound=bound)
 
 
 def dual_lower_bound(
@@ -329,18 +316,17 @@ def dual_lower_bound(
     cloud_y: PointCloud,
     p: DualPotential,
     spacing_divisor: int = 8,
-    inflation: float = 1.05,
 ) -> float:
     """Dual lower bound on the matching cost between the clouds.
 
     The potential must be built from cloud_x alone. The empirical mean gap per
     point, divided by the gradient supremum, lower-bounds the mean L^1
     matching distance; squaring gives a bound on the quadratic cost by
-    Cauchy-Schwarz. The supremum is the grid estimate of `sup_grad_sq`, so the
-    bound holds only as far as that estimate does. A nonpositive gap certifies
-    nothing and returns 0.
+    Cauchy-Schwarz. The supremum is the inflated grid maximum (see
+    `INFLATION`), so the bound holds only as far as that estimate does. A
+    nonpositive gap certifies nothing and returns 0.
     """
-    return lower_bound_functional(cloud_x, cloud_y, p, spacing_divisor, inflation).lower_bound
+    return lower_bound_functional(cloud_x, cloud_y, p, spacing_divisor).lower_bound
 
 
 def _check_same_cloud(cloud: PointCloud, p: DualPotential) -> None:

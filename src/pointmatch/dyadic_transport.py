@@ -184,47 +184,27 @@ def block_map(rho_minus: float, x: float) -> float:
     return float(_block_map_vec(rho_minus, x))
 
 
-def _simpson(f, a: float, b: float, n: int) -> float:
-    if b <= a:
-        return 0.0
-    n = max(2, n + (n % 2))
-    xs = np.linspace(a, b, n + 1)
-    ys = f(xs)
-    h = (b - a) / n
-    return float(h / 3.0 * (ys[0] + ys[-1] + 4.0 * ys[1:-1:2].sum() + 2.0 * ys[2:-2:2].sum()))
+def block_map_displacement_cost(rho_minus: float) -> float:
+    """Closed form of int_0^2 (T_rho(u) - u)^2 du = 2 (rho_minus - 1)^2 / 3.
 
-
-def _piecewise_quadrature(f, breaks, nodes: int) -> float:
-    pts = sorted({0.0, 2.0, *(float(np.clip(t, 0.0, 2.0)) for t in breaks)})
-    total = 0.0
-    for a, b in zip(pts[:-1], pts[1:]):
-        total += _simpson(f, a, b, max(2, round(nodes * (b - a) / 2.0)))
-    return total
-
-
-def block_map_displacement_cost(rho_minus: float, nodes: int = 10_000) -> float:
-    """Quadrature value of the squared displacement integral of the block map."""
+    The displacement is (1 - rho) u / rho left of rho_minus and
+    (1 - rho) (2 - u) / (2 - rho) right of it, so each piece contributes its
+    length times (rho_minus - 1)^2 / 3; this holds at the endpoints 0 and 2 too.
+    """
     if not 0.0 <= rho_minus <= 2.0:
         raise ValueError(f"rho_minus must lie in [0, 2], got {rho_minus}")
-    return _piecewise_quadrature(
-        lambda u: (_block_map_vec(rho_minus, u) - u) ** 2, [rho_minus], nodes
-    )
+    return 2.0 * (rho_minus - 1.0) ** 2 / 3.0
 
 
-def block_map_symmetrized_defect(rho_minus: float, nodes: int = 10_000) -> float:
-    """Quadrature value of int (0.5*(T_rho - id) + 0.5*(T_(2-rho) - id))^2.
+def block_map_symmetrized_defect(rho_minus: float) -> float:
+    """Closed form of int (0.5*(T_rho - id) + 0.5*(T_(2-rho) - id))^2 on [0, 2].
 
-    The two displacements cancel to leading order, leaving a quartically small
-    defect in (rho_minus - 1)."""
+    The two displacements cancel to leading order, leaving the quartically
+    small defect 2 (rho_minus - 1)^4 / (3 max(rho_minus, 2 - rho_minus)^2),
+    valid on all of [0, 2]."""
     if not 0.0 <= rho_minus <= 2.0:
         raise ValueError(f"rho_minus must lie in [0, 2], got {rho_minus}")
-
-    def f(u):
-        da = _block_map_vec(rho_minus, u) - u
-        db = _block_map_vec(2.0 - rho_minus, u) - u
-        return (0.5 * da + 0.5 * db) ** 2
-
-    return _piecewise_quadrature(f, [rho_minus, 2.0 - rho_minus], nodes)
+    return 2.0 * (rho_minus - 1.0) ** 4 / (3.0 * max(rho_minus, 2.0 - rho_minus) ** 2)
 
 
 # ---------------------------------------------------------------------------

@@ -108,16 +108,15 @@ def lower_bound_row(
     cfg: PairConfig,
     seed: int,
     spacing_divisor: int = 8,
-    inflation: float = 1.05,
 ) -> tuple[LowerBoundRow, np.ndarray]:
     """The row and |grad Phi|^2 on the sup-gradient grid behind its lower bound.
 
     Phi is evaluated on both clouds in one batch; the CSV column keeps the name
     certified_lower_bound, although the grid supremum it divides by is an
-    estimate (see dual_potential.sup_grad_sq)."""
+    estimate (see dual_potential.INFLATION)."""
     x, y = sample_pair(cfg, seed)
     pot = dp.hierarchical_potential(dy.build_tree(x))
-    report = dp.lower_bound_functional(x, y, pot, spacing_divisor=spacing_divisor, inflation=inflation)
+    report = dp.lower_bound_functional(x, y, pot, spacing_divisor=spacing_divisor)
     row = LowerBoundRow(
         seed=seed,
         gain=report.gain,

@@ -192,8 +192,18 @@ def test_round_random_mixtures_never_increase_cost(seed):
     plan = asg.TransportPlan(kind="coupling", cost=asg.coupling_cost(c, w), weights=w)
     rounded = asg.round_to_permutation(plan, c)
     brute = asg.match_bruteforce(c)
+    assert np.all(w[np.arange(n), rounded.perm] > 0)
     assert rounded.cost <= plan.cost + 1e-9
     assert rounded.cost >= brute.cost - 1e-12
+
+
+def test_round_rejects_weights_without_permutation_in_support():
+    # rows 0 and 1 both sit on column 0 alone, so no permutation lies in the support
+    w = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.5, 0.5]])
+    c = asg.CostMatrix(3, np.arange(9, dtype=float).reshape(3, 3))
+    plan = asg.TransportPlan(kind="coupling", cost=asg.coupling_cost(c, w), weights=w)
+    with pytest.raises(ValueError, match="not a coupling"):
+        asg.round_to_permutation(plan, c)
 
 
 def test_round_lp_output_with_degenerate_ties():

@@ -132,20 +132,27 @@ def test_scaling_uses_config_file_for_unset_flags(tmp_path, capsys):
     assert payload["config"]["master_seed"] == 6
 
 
-def test_embedded_config_replays_byte_identical_csv(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("scaling", "--dim", "1", "--n", "4,8,16", "--trials", "25", "--seed", "13"),
+        ("upper-bound", "--n", "16", "--seeds", "3", "--seed", "2"),
+        ("lower-bound", "--n", "16", "--seeds", "3", "--seed", "2"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_embedded_config_replays_byte_identical_csv(tmp_path, capsys, argv):
     path = tmp_path / "first.csv"
-    code, out, _ = run_cli(
-        capsys, "scaling", "--dim", "1", "--n", "4,8,16", "--trials", "25",
-        "--seed", "13", "--out", str(path),
-    )
+    code, out, _ = run_cli(capsys, *argv, "--out", str(path))
     assert code == 0
     first = path.read_bytes()
     cfg_path = tmp_path / "replay.json"
     cfg_path.write_text(json.dumps(json.loads(out)["config"]))
     path2 = tmp_path / "second.csv"
-    code, _, _ = run_cli(capsys, "scaling", "--config", str(cfg_path), "--out", str(path2))
+    code, out, _ = run_cli(capsys, argv[0], "--config", str(cfg_path), "--out", str(path2))
     assert code == 0
     assert path2.read_bytes() == first
+    assert len(json.loads(out)["results"]) == 3
 
 
 def test_seed_env_var_provides_default(tmp_path, capsys, monkeypatch):

@@ -92,11 +92,19 @@ def test_block_map_degenerate_endpoints():
 
 
 def test_block_map_quadrature_matches_closed_form():
-    # piecewise polynomial integral: int (T - id)^2 = (2/3)(rho - 1)^2
+    # trapezoid rule on the block map itself, on a grid holding the breakpoints
+    # rho and 2 - rho, against the closed forms of both integrals
+    block_map = np.vectorize(dy.block_map)
     for rho in np.linspace(0.0, 2.0, 21):
-        quad = dy.block_map_displacement_cost(rho, nodes=10_000)
-        assert quad == pytest.approx(2.0 / 3.0 * (rho - 1.0) ** 2, abs=1e-8)
-        assert quad <= 4.0 * (rho - 1.0) ** 2 + 1e-15
+        u = np.union1d(np.linspace(0.0, 2.0, 1001), [rho, 2.0 - rho])
+        da = block_map(rho, u) - u
+        db = block_map(2.0 - rho, u) - u
+        cost = dy.block_map_displacement_cost(rho)
+        assert cost == pytest.approx(np.trapezoid(da**2, u), rel=1e-4, abs=1e-15)
+        assert dy.block_map_symmetrized_defect(rho) == pytest.approx(
+            np.trapezoid((0.5 * da + 0.5 * db) ** 2, u), rel=1e-4, abs=1e-15
+        )
+        assert cost <= 4.0 * (rho - 1.0) ** 2 + 1e-15
 
 
 @given(
