@@ -16,6 +16,7 @@ import os
 import sys
 import time
 from dataclasses import asdict, dataclass
+from functools import partial
 
 import numpy as np
 
@@ -24,7 +25,7 @@ from . import assignment as asg
 from . import binomial
 from . import experiments as xp
 from .geometry import cloud_to_csv, sample_uniform, substream_seed
-from .stats import TrialError
+from .stats import TrialError, default_workers, map_trials
 
 SEED_ENV_VAR = "POINTMATCH_SEED"
 
@@ -197,18 +198,24 @@ def cmd_match(args) -> int:
     return 0
 
 
+def _seeds(opts: dict) -> list:
+    """The instance seeds of upper-bound and lower-bound: substream t of the master seed."""
+    return [substream_seed(opts["seed"], t) for t in range(opts["seeds"])]
+
+
 def cmd_upper_bound(args) -> int:
     opts = _merge(
         args,
-        {"n": 64, "dim": 2, "side": 1.0, "seeds": 10, "seed": _env_seed(), "out": None, "json": None},
+        {"n": 64, "dim": 2, "side": 1.0, "seeds": 10, "seed": _env_seed(),
+         "workers": default_workers(), "out": None, "json": None},
     )
     config = ExperimentConfig(
         subcommand="upper-bound", n_values=(opts["n"],), dim=opts["dim"], side=opts["side"],
-        trials=(opts["seeds"],), master_seed=opts["seed"], workers=1, out=opts["out"],
+        trials=(opts["seeds"],), master_seed=opts["seed"], workers=opts["workers"], out=opts["out"],
     )
     t0 = time.perf_counter()
     cfg = xp.PairConfig(n=opts["n"], dim=opts["dim"], side=opts["side"])
-    rows = [xp.upper_bound_row(cfg, substream_seed(opts["seed"], t)) for t in range(opts["seeds"])]
+    rows = list(map_trials(partial(xp.upper_bound_row, cfg), _seeds(opts), opts["workers"]))
     header = ["seed", "k_star", "map_cost", "coupling_cost", "optimal_cost"]
     csv_rows = [[r.seed, r.k_star, r.map_cost, r.coupling_cost, r.optimal_cost] for r in rows]
     if opts["out"]:
@@ -221,19 +228,19 @@ def cmd_lower_bound(args) -> int:
     opts = _merge(
         args,
         {"n": 64, "dim": 2, "side": 1.0, "seeds": 10, "grid_divisor": 8,
-         "seed": _env_seed(), "out": None, "json": None},
+         "seed": _env_seed(), "workers": default_workers(), "out": None, "json": None},
     )
     config = ExperimentConfig(
         subcommand="lower-bound", n_values=(opts["n"],), dim=opts["dim"], side=opts["side"],
-        trials=(opts["seeds"],), master_seed=opts["seed"], workers=1,
+        trials=(opts["seeds"],), master_seed=opts["seed"], workers=opts["workers"],
         grid_divisor=opts["grid_divisor"], out=opts["out"],
     )
     t0 = time.perf_counter()
     cfg = xp.PairConfig(n=opts["n"], dim=opts["dim"], side=opts["side"])
+    observable = partial(xp.lower_bound_row, cfg, spacing_divisor=opts["grid_divisor"])
     rows = []
-    grid_sum = 0.0  # per-grid-point sum of |grad Phi|^2 across seeds
-    for t in range(opts["seeds"]):
-        row, grid = xp.lower_bound_row(cfg, substream_seed(opts["seed"], t), spacing_divisor=opts["grid_divisor"])
+    grid_sum = 0.0  # per-grid-point sum of |grad Phi|^2, added in seed order as the grids arrive
+    for row, grid in map_trials(observable, _seeds(opts), opts["workers"]):
         rows.append(row)
         grid_sum += grid
     grid_mean = grid_sum / opts["seeds"]
@@ -254,7 +261,7 @@ def cmd_scaling(args) -> int:
     opts = _merge(
         args,
         {"n": (64, 256, 1024), "dim": 2, "side": 1.0, "trials": (200,),
-         "seed": _env_seed(), "workers": os.cpu_count() or 1, "out": None, "json": None},
+         "seed": _env_seed(), "workers": default_workers(), "out": None, "json": None},
     )
     n_values = tuple(opts["n"])
     trials = tuple(opts["trials"])
@@ -286,7 +293,7 @@ def cmd_lemma_check(args) -> int:
     opts = _merge(
         args,
         {"n": (1000,), "theta": (0.125,), "dim": 1, "side": 1.0, "trials": 1000,
-         "seed": _env_seed(), "c_bound": 10.0, "workers": os.cpu_count() or 1, "json": None},
+         "seed": _env_seed(), "c_bound": 10.0, "workers": default_workers(), "json": None},
     )
     config = ExperimentConfig(
         subcommand="lemma-check", n_values=tuple(opts["n"]), dim=opts["dim"], side=opts["side"],
@@ -356,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
         if seeds:
             p.add_argument("--seeds", type=int, help="number of independent instances")
         if workers:
-            p.add_argument("--workers", type=int, help="parallel trial workers (default: the CPU count)")
+            p.add_argument("--workers", type=int, help="parallel trial workers (default: the CPUs this process may run on)")
 
     p = sub.add_parser("sample", help="write a uniform cloud as CSV (header x1,...,xd)")
     p.add_argument("--n", type=int, help="number of points")
@@ -374,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int)
     p.add_argument("--out", help="CSV path")
     p.add_argument("--json", help="JSON summary path (default stdout)")
-    add_common(p, seeds=True)
+    add_common(p, seeds=True, workers=True)
     p.set_defaults(func=cmd_upper_bound)
 
     p = sub.add_parser("lower-bound", help="dual lower bounds (gradient supremum estimated on a grid) vs the optimum, gain = mean of the potential over the x-cloud (its spatial mean is exactly 0); CSV rows (seed, gain, sup_grad_sq, certified_lower_bound, optimal_cost)")
@@ -382,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-divisor", dest="grid_divisor", type=int, help="sup-gradient grid spacing divisor")
     p.add_argument("--out", help="CSV path")
     p.add_argument("--json", help="JSON summary path (default stdout)")
-    add_common(p, seeds=True)
+    add_common(p, seeds=True, workers=True)
     p.set_defaults(func=cmd_lower_bound)
 
     p = sub.add_parser("scaling", help="mean exact cost over N list with shape fit; CSV rows (n, dim, trials, mean, stderr, fitted_constant)")

@@ -60,7 +60,7 @@ def box_count(cfg: BoxCountConfig, seed: int) -> int:
     return count_in_box(cloud, slab_box(cfg)).n_q
 
 
-def box_counts_ensemble(cfg: BoxCountConfig, trials: int, master_seed: int, workers: int = 1):
+def box_counts_ensemble(cfg: BoxCountConfig, trials: int, master_seed: int, workers: int | None = None):
     ens = run_ensemble(EnsembleConfig(trials, master_seed, workers), partial(box_count, cfg))
     samples = [BoxCount(n_q=int(v), n_total=cfg.n, theta=cfg.theta) for v in ens.observations]
     return ens, samples
@@ -148,9 +148,12 @@ def scaling_experiment(
     dim: int,
     side: float = 1.0,
     master_seed: int = 0,
-    workers: int = 1,
+    workers: int | None = None,
 ) -> tuple[list[ScalingResult], ScalingFit]:
-    """Ensemble mean of the exact matching cost per N, plus the shape fit."""
+    """Ensemble mean of the exact matching cost per N, plus the shape fit.
+
+    The trials of each N run on `workers` processes (None: every CPU this
+    process may run on); the results do not depend on the count."""
     from .stats import scaling_shape
 
     if isinstance(trials, int):

@@ -1,9 +1,17 @@
-"""Seeded Monte Carlo ensembles, streaming moments, and scaling-law fits."""
+"""Seeded Monte Carlo ensembles, streaming moments, and scaling-law fits.
+
+`run_ensemble` and the CLI's per-instance loops run through `map_trials`:
+trial t of a run gets its own seed, the trials run on a process pool (by
+default one worker per CPU this process may run on), and results come back in
+trial order. Each trial depends on its seed alone, so outputs are
+bit-identical for every worker count.
+"""
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
+import os
+from concurrent import futures
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -15,9 +23,22 @@ class TrialError(RuntimeError):
     """A trial observable failed; carries the trial index and seed."""
 
     def __init__(self, trial: int, seed: int, cause: str):
-        super().__init__(f"trial {trial} (seed {seed}) failed: {cause}")
+        # args hold the constructor's arguments, so the error pickles back from a worker
+        super().__init__(trial, seed, cause)
         self.trial = trial
         self.seed = seed
+        self.cause = cause
+
+    def __str__(self) -> str:
+        return f"trial {self.trial} (seed {self.seed}) failed: {self.cause}"
+
+
+def default_workers() -> int:
+    """The CPUs this process may run on (the CPU count where that is unknown)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 @dataclass
@@ -58,7 +79,7 @@ class RunningMoments:
 class EnsembleConfig:
     trials: int
     master_seed: int
-    workers: int = 1
+    workers: int | None = None  # None: default_workers()
 
 
 @dataclass
@@ -90,11 +111,29 @@ class TrialEnsemble:
 def _run_trial(args):
     observable, trial, seed = args
     try:
-        return float(observable(seed))
+        return observable(seed)
     except TrialError:
         raise
     except Exception as exc:  # noqa: BLE001 - surfaced with the failing seed
         raise TrialError(trial, seed, repr(exc)) from exc
+
+
+def map_trials(observable, seeds, workers: int | None = None):
+    """Yield observable(seed) for each seed, in order; trial t is seeds[t].
+
+    The trials run on a process pool of `workers` processes (None:
+    default_workers()), never more than there are trials; with one worker they
+    run in this process. A failure raises TrialError for the first failing
+    trial. The observable and its results are pickled, so it must be a
+    module-level function or a partial of one.
+    """
+    jobs = [(observable, t, seed) for t, seed in enumerate(seeds)]
+    workers = min(default_workers() if workers is None else workers, len(jobs))
+    if workers <= 1:
+        yield from map(_run_trial, jobs)
+        return
+    with futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        yield from pool.map(_run_trial, jobs, chunksize=max(1, len(jobs) // (4 * workers)))
 
 
 def run_ensemble(config: EnsembleConfig, observable) -> TrialEnsemble:
@@ -106,12 +145,8 @@ def run_ensemble(config: EnsembleConfig, observable) -> TrialEnsemble:
     """
     if config.trials < 2:
         raise ValueError("an ensemble needs at least 2 trials")
-    jobs = [(observable, t, substream_seed(config.master_seed, t)) for t in range(config.trials)]
-    if config.workers > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            values = list(pool.map(_run_trial, jobs, chunksize=max(1, config.trials // (4 * config.workers))))
-    else:
-        values = [_run_trial(job) for job in jobs]
+    seeds = [substream_seed(config.master_seed, t) for t in range(config.trials)]
+    values = [float(v) for v in map_trials(observable, seeds, config.workers)]
     return TrialEnsemble(master_seed=config.master_seed, observations=np.array(values))
 
 

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from pointmatch import cli
+from pointmatch.geometry import substream_seed
 
 
 def run_cli(capsys, *argv):
@@ -56,6 +57,8 @@ def test_unknown_flag_exits_2(capsys):
         ["upper-bound", "--side", "nan"],
         ["lemma-check", "--c-bound", "-1"],
         ["lemma-check", "--c-bound", "0"],
+        ["upper-bound", "--workers", "0"],
+        ["lower-bound", "--workers", "0"],
     ],
 )
 def test_bad_configuration_exits_2_before_any_work(capsys, monkeypatch, argv):
@@ -95,6 +98,7 @@ def _forbid_work(monkeypatch):
 
     for name in ("sample_pair", "scaling_experiment", "box_counts_ensemble"):
         monkeypatch.setattr(cli.xp, name, no_work)
+    monkeypatch.setattr(cli, "map_trials", no_work)
 
 
 def test_unknown_method_exits_2(capsys):
@@ -153,6 +157,41 @@ def test_embedded_config_replays_byte_identical_csv(tmp_path, capsys, argv):
     assert code == 0
     assert path2.read_bytes() == first
     assert len(json.loads(out)["results"]) == 3
+
+
+@pytest.mark.parametrize("subcommand", ["upper-bound", "lower-bound"])
+def test_outputs_do_not_depend_on_worker_count(tmp_path, capsys, subcommand):
+    runs = []
+    for workers in ("1", "2"):
+        path = tmp_path / f"w{workers}.csv"
+        argv = [subcommand, "--n", "64", "--dim", "2", "--seeds", "6", "--workers", workers, "--out", str(path)]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["config"]["workers"] == int(workers)
+        runs.append((path.read_bytes(), payload["results"], payload["fit"]))
+    # fit holds sup_mean_grad_sq for lower-bound: the per-seed grids must add up in seed order
+    assert runs[0] == runs[1]
+
+
+FAILING_SEED = substream_seed(5, 2)
+
+
+def fail_on_third_instance(cfg, seed, **kwargs):
+    # module level, so a pool worker can unpickle it; other instances give a (row, grid) stand-in
+    if seed == FAILING_SEED:
+        raise ArithmeticError("injected")
+    return seed, 0.0
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("subcommand,row", [("upper-bound", "upper_bound_row"), ("lower-bound", "lower_bound_row")])
+def test_failing_instance_exits_1_naming_trial_and_seed(capsys, monkeypatch, subcommand, row, workers):
+    monkeypatch.setattr(cli.xp, row, fail_on_third_instance)
+    code, out, err = run_cli(capsys, subcommand, "--n", "16", "--seeds", "4", "--seed", "5", "--workers", workers)
+    assert code == 1
+    assert out == ""
+    assert f"trial 2 (seed {FAILING_SEED}) failed: ArithmeticError('injected')" in err
 
 
 def test_seed_env_var_provides_default(tmp_path, capsys, monkeypatch):

@@ -1,4 +1,6 @@
 import math
+import os
+import time
 from functools import partial
 
 import numpy as np
@@ -59,6 +61,68 @@ def test_trial_failure_reports_seed():
         stats.run_ensemble(stats.EnsembleConfig(trials=100, master_seed=2), failing_on_third)
     assert "seed" in str(err.value)
     assert err.value.seed == substream_seed(2, err.value.trial)
+
+
+def slow_first(seed):
+    # the first trial finishes last, so a map that yields in completion order reorders
+    time.sleep(0.5 if seed == 0 else 0.0)
+    return seed
+
+
+def test_map_trials_keeps_trial_order_when_an_earlier_trial_is_slower():
+    seeds = [0, 1, 2, 3]
+    assert list(stats.map_trials(slow_first, seeds, workers=2)) == seeds
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_map_trials_failure_names_first_failing_trial(workers):
+    seeds = [substream_seed(4, t) for t in range(20)]
+    first = next(t for t, s in enumerate(seeds) if s % 5 == 0)
+    with pytest.raises(stats.TrialError) as err:
+        list(stats.map_trials(failing_on_third, seeds, workers=workers))
+    assert (err.value.trial, err.value.seed) == (first, seeds[first])
+    assert f"trial {first} (seed {seeds[first]}) failed: ArithmeticError('boom')" == str(err.value)
+
+
+class RecordingPool:
+    """In-process stand-in for ProcessPoolExecutor that records its size."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs, chunksize):
+        return map(fn, jobs)
+
+
+@pytest.mark.parametrize("workers,seeds,pool_size", [(1, 5, None), (8, 3, 3), (2, 1, None), (2, 10, 2)])
+def test_map_trials_pool_never_exceeds_tasks(monkeypatch, workers, seeds, pool_size):
+    monkeypatch.setattr(stats.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    assert list(stats.map_trials(constant_seven, range(seeds), workers=workers)) == [7.0] * seeds
+    assert RecordingPool.sizes == ([] if pool_size is None else [pool_size])
+
+
+def test_default_workers_is_the_affinity_set(monkeypatch):
+    assert stats.default_workers() == len(os.sched_getaffinity(0))
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert stats.default_workers() == (os.cpu_count() or 1)
+
+
+def test_map_trials_defaults_to_default_workers(monkeypatch):
+    monkeypatch.setattr(stats.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(stats, "default_workers", lambda: 3)
+    list(stats.map_trials(constant_seven, range(100)))
+    stats.run_ensemble(stats.EnsembleConfig(trials=100, master_seed=0), constant_seven)
+    assert RecordingPool.sizes == [3, 3]
 
 
 @given(perm_seed=st.integers(0, 2**32 - 1))
