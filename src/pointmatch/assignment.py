@@ -27,13 +27,17 @@ LP_SIZE_LIMIT = 64
 
 @dataclass(frozen=True)
 class CostMatrix:
+    """The N x N squared-distance matrix of two clouds.
+
+    The entries stay writable: `linear_sum_assignment` silently copies a
+    read-only input, which would hold the N x N matrix twice during the solve.
+    """
+
     n: int
     entries: np.ndarray  # (N, N), entry (n, m) = |Y_m - X_n|^2
 
     def __post_init__(self):
-        e = np.asarray(self.entries, dtype=np.float64)
-        e.setflags(write=False)
-        object.__setattr__(self, "entries", e)
+        object.__setattr__(self, "entries", np.asarray(self.entries, dtype=np.float64))
 
 
 @dataclass(frozen=True)
@@ -98,8 +102,14 @@ def match_bruteforce(c: CostMatrix) -> TransportPlan:
 
 
 def match_solver(c: CostMatrix) -> TransportPlan:
-    """Exact optimum via a dense shortest-augmenting-path assignment solver."""
-    if not np.all(np.isfinite(c.entries)):
+    """Exact optimum via a dense shortest-augmenting-path assignment solver.
+
+    The entries go to the solver as they are, without a copy. The solver
+    accepts +inf where a permutation avoids it, so non-finite entries are
+    rejected here; the extremes are checked instead of an N x N mask, and a
+    NaN anywhere makes them NaN.
+    """
+    if not (np.isfinite(c.entries.min()) and np.isfinite(c.entries.max())):
         raise ValueError("cost matrix has non-finite entries")
     rows, cols = linear_sum_assignment(c.entries)
     perm = np.empty(c.n, dtype=np.intp)

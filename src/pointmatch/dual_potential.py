@@ -245,12 +245,14 @@ def integral_against_density(p: DualPotential, at_level: int | None = None) -> f
 def grad_sq_on_grid(p: DualPotential, spacing_divisor: int = 8):
     """|grad Phi|^2 on a tensor grid of spacing L_(k_star)/spacing_divisor.
 
-    Returns (grid points, values), both flat in `indexing="ij"` order; the grid
-    includes the domain boundary where the potential vanishes identically.
-    Every per-level factor depends on one coordinate, so it is evaluated on the
-    axis values alone and the grid only sees broadcast products. The grid is
-    walked in slabs of axis-0 values, about GRID_SLAB_POINTS points each, so
-    the per-level temporaries never span the whole grid.
+    Returns (axis, values): the grid is the d-fold product of the axis values,
+    which include the domain boundary where the potential vanishes
+    identically, and the values are flat in `indexing="ij"` order. The grid
+    points themselves are never built. Every per-level factor depends on one
+    coordinate, so it is evaluated on the axis values alone and the grid only
+    sees broadcast products. The grid is walked in slabs of axis-0 values,
+    about GRID_SLAB_POINTS points each, so the per-level temporaries never
+    span the whole grid.
     """
     tree = p.tree
     d, side = tree.dim, tree.side
@@ -258,9 +260,6 @@ def grad_sq_on_grid(p: DualPotential, spacing_divisor: int = 8):
     axis = np.linspace(0.0, side, int(round(side / h)) + 1)
     shape = (axis.size,) * d
     xs = [axis.reshape([-1 if j == i else 1 for j in range(d)]) for i in range(d)]
-    pts = np.empty(shape + (d,))
-    for i, x in enumerate(xs):
-        pts[..., i] = x
     out = np.empty(shape)
     rows = max(1, GRID_SLAB_POINTS // axis.size ** (d - 1))
     for start in range(0, axis.size, rows):
@@ -273,7 +272,7 @@ def grad_sq_on_grid(p: DualPotential, spacing_divisor: int = 8):
         np.square(grads[0], out=sq)
         for g in grads[1:]:
             sq += g**2
-    return pts.reshape(-1, d), out.ravel()
+    return axis, out.ravel()
 
 
 @dataclass(frozen=True)

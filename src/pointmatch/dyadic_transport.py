@@ -18,6 +18,7 @@ from .assignment import TransportPlan
 from .geometry import PointCloud, sample_uniform, substream_seed
 
 MIN_COST_PROBES = 1000
+COUPLING_CHUNK_PAIRS = 1 << 18  # candidate point pairs per chunk in the exact coupling
 
 
 # ---------------------------------------------------------------------------
@@ -415,13 +416,14 @@ def map_cost_exact(h: HierarchicalMap) -> float:
     return float(sq.mean())
 
 
-def coupling_exact(t: HierarchicalMap, s: HierarchicalMap) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The coupling of the two clouds through a common uniform point, exactly.
+def _coupling_chunks(t: HierarchicalMap, s: HierarchicalMap):
+    """Yield (n, m, mass) of the exact coupling, about COUPLING_CHUNK_PAIRS
+    candidate point pairs at a time.
 
-    Returns (n, m, mass) for every pair whose preimage boxes R_n = T^(-1)(X_n)
-    and Q_m = S^(-1)(Y_m) overlap, with mass vol(R_n & Q_m) / L^d; every row and
-    column sums to 1/N. Both trees split the same coordinate at every level, so
-    one joint descent keeps only the box pairs whose preimages overlap.
+    Both trees split the same coordinate at every level, so one joint descent
+    keeps only the stopping-box pairs whose preimages overlap; every point pair
+    of those box pairs is a candidate, and a chunk takes the box pairs whose
+    first candidate falls in its window, so no box pair is split.
     """
     tx, ty = t.tree, s.tree
     if tx.cloud.n != ty.cloud.n or tx.dim != ty.dim or tx.side != ty.side:
@@ -437,26 +439,44 @@ def coupling_exact(t: HierarchicalMap, s: HierarchicalMap) -> tuple[np.ndarray, 
         keep = np.minimum(hi_t[a, c], hi_s[b, c]) > np.maximum(lo_t[a, c], lo_s[b, c])
         a, b = a[keep], b[keep]
 
-    # every point pair of every overlapping pair of stopping boxes
+    (lo_r, hi_r), (lo_q, hi_q) = _point_preimages(t, lo_t, hi_t), _point_preimages(s, lo_s, hi_s)
     na, nb = tx.counts[tx.k_star][a], ty.counts[ty.k_star][b]
     reps = na * nb
-    pair = np.repeat(np.arange(a.size), reps)
-    local = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
-    n_idx = t.cell_order[t.box_offsets[a][pair] + local // nb[pair]]
-    m_idx = s.cell_order[s.box_offsets[b][pair] + local % nb[pair]]
-    (lo_r, hi_r), (lo_q, hi_q) = _point_preimages(t, lo_t, hi_t), _point_preimages(s, lo_s, hi_s)
-    sides = np.minimum(hi_r[n_idx], hi_q[m_idx]) - np.maximum(lo_r[n_idx], lo_q[m_idx])
-    vol = sides.clip(min=0.0).prod(axis=1)
-    keep = vol > 0.0
-    return n_idx[keep], m_idx[keep], vol[keep] / tx.side**tx.dim
+    starts = np.cumsum(reps) - reps
+    windows = np.arange(0, starts[-1] + 1, COUPLING_CHUNK_PAIRS)
+    edges = np.unique(np.append(np.searchsorted(starts, windows), a.size))
+    volume = tx.side**tx.dim
+    for first, last in zip(edges[:-1], edges[1:]):
+        r, nb_c = reps[first:last], nb[first:last]
+        pair = np.repeat(np.arange(r.size), r)
+        local = np.arange(r.sum()) - np.repeat(starts[first:last] - starts[first], r)
+        n_idx = t.cell_order[t.box_offsets[a[first:last]][pair] + local // nb_c[pair]]
+        m_idx = s.cell_order[s.box_offsets[b[first:last]][pair] + local % nb_c[pair]]
+        sides = np.minimum(hi_r[n_idx], hi_q[m_idx]) - np.maximum(lo_r[n_idx], lo_q[m_idx])
+        vol = sides.clip(min=0.0).prod(axis=1)
+        keep = vol > 0.0
+        yield n_idx[keep], m_idx[keep], vol[keep] / volume
+
+
+def coupling_exact(t: HierarchicalMap, s: HierarchicalMap) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The coupling of the two clouds through a common uniform point, exactly.
+
+    Returns (n, m, mass) for every pair whose preimage boxes R_n = T^(-1)(X_n)
+    and Q_m = S^(-1)(Y_m) overlap, with mass vol(R_n & Q_m) / L^d; every row and
+    column sums to 1/N. The candidate point pairs are expanded in chunks
+    (`_coupling_chunks`), so only the overlapping pairs are ever held whole.
+    """
+    n_idx, m_idx, mass = zip(*_coupling_chunks(t, s))
+    return np.concatenate(n_idx), np.concatenate(m_idx), np.concatenate(mass)
 
 
 def coupling_cost_exact(t: HierarchicalMap, s: HierarchicalMap) -> float:
     """sum over pairs of mass * |Y_m - X_n|^2 for the exact coupling; an upper
-    bound on the optimal matching cost by the Birkhoff-von Neumann theorem."""
-    n_idx, m_idx, mass = coupling_exact(t, s)
-    sq = ((s.tree.cloud.points[m_idx] - t.tree.cloud.points[n_idx]) ** 2).sum(axis=1)
-    return float(mass @ sq)
+    bound on the optimal matching cost by the Birkhoff-von Neumann theorem.
+
+    Summed chunk by chunk, so no array spans all the pairs."""
+    x, y = t.tree.cloud.points, s.tree.cloud.points
+    return sum(float(mass @ ((y[m] - x[n]) ** 2).sum(axis=1)) for n, m, mass in _coupling_chunks(t, s))
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from pointmatch import assignment as asg
 from pointmatch import geometry as geo
@@ -88,9 +89,30 @@ def test_solver_matches_bruteforce(seed):
 
 
 def test_solver_rejects_nonfinite():
-    c = asg.CostMatrix(2, np.array([[0.0, np.inf], [1.0, 0.0]]))
-    with pytest.raises(ValueError):
-        asg.match_solver(c)
+    # scipy itself accepts a +inf that a permutation avoids, so the check is the solver's own
+    asg.linear_sum_assignment(np.array([[0.0, np.inf], [1.0, 0.0]]))
+    for bad in (np.inf, -np.inf, np.nan):
+        c = asg.CostMatrix(2, np.array([[0.0, bad], [1.0, 0.0]]))
+        with pytest.raises(ValueError, match="non-finite"):
+            asg.match_solver(c)
+
+
+def test_solver_gets_the_entries_without_a_copy(monkeypatch):
+    # scipy copies a read-only cost matrix, so the entries must reach it writable and as they are
+    c = asg.cost_matrix(*_pair(32, 2, 5))
+    seen = []
+
+    def spy(cost):
+        seen.append(cost)
+        return linear_sum_assignment(cost)
+
+    monkeypatch.setattr(asg, "linear_sum_assignment", spy)
+    plan = asg.match_solver(c)
+    assert seen[0] is c.entries
+    assert c.entries.flags.writeable
+    assert plan.cost == asg.perm_cost(c, plan.perm)
+    e = np.eye(3)
+    assert asg.CostMatrix(3, e).entries is e
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -326,6 +330,49 @@ def test_coupling_exact_identical_clouds_is_diagonal():
     n_idx, m_idx, _ = dy.coupling_exact(t, t)
     assert np.array_equal(n_idx, m_idx)
     assert dy.coupling_cost_exact(t, t) == 0.0
+
+
+def _sorted_triples(n_idx, m_idx, mass):
+    order = np.lexsort((m_idx, n_idx))
+    return n_idx[order], m_idx[order], mass[order]
+
+
+@pytest.mark.parametrize("dim, n", [(2, 256), (3, 512)])
+def test_coupling_exact_in_tiny_chunks_equals_one_chunk(dim, n, monkeypatch):
+    t, s = _map_pair(n, dim, 115 + n)
+    assert len(list(dy._coupling_chunks(t, s))) == 1
+    whole, whole_cost = dy.coupling_exact(t, s), dy.coupling_cost_exact(t, s)
+    monkeypatch.setattr(dy, "COUPLING_CHUNK_PAIRS", 7)
+    assert len(list(dy._coupling_chunks(t, s))) > 1
+    n_idx, m_idx, mass = dy.coupling_exact(t, s)
+    for got, want in zip(_sorted_triples(n_idx, m_idx, mass), _sorted_triples(*whole)):
+        assert np.array_equal(got, want)
+    assert dy.coupling_cost_exact(t, s) == pytest.approx(whole_cost, rel=1e-12, abs=0.0)
+    np.testing.assert_allclose(np.bincount(n_idx, mass, minlength=n), 1.0 / n, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(np.bincount(m_idx, mass, minlength=n), 1.0 / n, rtol=1e-12, atol=0.0)
+    n_idx, m_idx, _ = dy.coupling_exact(t, t)
+    assert np.array_equal(n_idx, m_idx)
+    assert dy.coupling_cost_exact(t, t) == 0.0
+
+
+_COUPLING_RSS_PROBE = """
+import resource
+from pointmatch import dyadic_transport as dy, geometry as geo
+x, y = (geo.sample_uniform(1 << 16, 1.0, 3, geo.substream_seed(7, 0, i)) for i in (0, 1))
+t, s = dy.build_map(x), dy.build_map(y)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+dy.coupling_cost_exact(t, s)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+"""
+
+
+def test_coupling_cost_exact_peak_memory_is_bounded():
+    # d = 3, N = 2^16: expanding every candidate point pair at once grew the peak by about 560 MB
+    src = str(Path(dy.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", _COUPLING_RSS_PROBE], env=env, capture_output=True, text=True, check=True)
+    growth_mb = int(out.stdout) / 1024  # ru_maxrss is in KiB on Linux
+    assert growth_mb < 150
 
 
 def test_coupling_exact_rejects_mismatched_clouds():
