@@ -16,7 +16,7 @@ from pointmatch import assignment as asg
 from pointmatch import dual_potential as dp
 from pointmatch import dyadic_transport as dy
 from pointmatch.experiments import PairConfig, sample_pair
-from pointmatch.geometry import substream_seed
+from pointmatch.stats import trial_seeds
 
 
 def main() -> int:
@@ -44,8 +44,7 @@ def main() -> int:
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["seed", "lower_bound", "optimal_cost", "coupling_cost", "ratio_upper", "ratio_lower"])
-        for t in range(args.seeds):
-            seed = substream_seed(args.seed, t)
+        for t, seed in enumerate(trial_seeds(args.seed, args.seeds)):
             x, y = sample_pair(cfg, seed)
             t_map, s_map = dy.build_map(x), dy.build_map(y)
             coupling = dy.coupling_cost_exact(t_map, s_map)

@@ -39,7 +39,7 @@ from .dyadic_transport import (
     recursion_audit,
 )
 from .geometry import Box, MicroScale, PointCloud, micro_scale, sample_uniform, substream_seed
-from .stats import EnsembleConfig, ScalingFit, TrialEnsemble, fit_scaling, run_ensemble
+from .stats import EnsembleConfig, ScalingFit, TrialEnsemble, fit_scaling, run_ensemble, trial_seeds
 
 __version__ = "0.1.0"
 
@@ -83,6 +83,7 @@ __all__ = [
     "run_ensemble",
     "sample_uniform",
     "substream_seed",
+    "trial_seeds",
     "zeta",
     "__version__",
 ]

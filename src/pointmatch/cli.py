@@ -25,7 +25,7 @@ from . import assignment as asg
 from . import binomial
 from . import experiments as xp
 from .geometry import cloud_to_csv, sample_uniform, substream_seed
-from .stats import TrialError, default_workers, map_trials
+from .stats import TrialError, default_workers, map_trials, trial_seeds
 
 SEED_ENV_VAR = "POINTMATCH_SEED"
 
@@ -59,7 +59,8 @@ class ExperimentConfig:
             (self.workers >= 1, f"--workers must be >= 1, got {self.workers}"),
             (self.grid_divisor >= 1, f"--grid-divisor must be >= 1, got {self.grid_divisor}"),
             (all(0.0 <= t <= 1.0 for t in self.thetas), f"every --theta must lie in [0, 1], got {list(self.thetas)}"),
-            (self.c_bound > 0, f"--c-bound must be > 0, got {self.c_bound}"),
+            (math.isfinite(self.c_bound) and self.c_bound > 0, f"--c-bound must be finite and > 0, got {self.c_bound}"),
+            (self.master_seed >= 0, f"--seed must be >= 0, got {self.master_seed}"),
         ]
         if self.subcommand == "scaling":
             checks += [
@@ -116,7 +117,19 @@ def _merge(args: argparse.Namespace, defaults: dict) -> dict:
         if not _same_kind(val, fallback):
             raise ValueError(f"--config {args.config}: {key!r} = {val!r} does not have the type of its default {fallback!r}")
         merged[key] = val
+    for key, fallback in defaults.items():
+        if fallback is None and merged[key] is not None:
+            _check_output_path(key, merged[key])
     return merged
+
+
+def _check_output_path(key: str, path: str) -> None:
+    """Reject, before any work, an output path that cannot be written."""
+    if os.path.isdir(path):
+        raise ValueError(f"--{key} {path} is a directory")
+    parent = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(parent):
+        raise ValueError(f"--{key} {path}: directory {parent} does not exist")
 
 
 def _same_kind(val, fallback) -> bool:
@@ -141,15 +154,11 @@ def _emit_json(payload: dict, path: str | None) -> None:
         print(text)
 
 
-def _write_csv(path: str | None, header: list, rows: list) -> None:
-    f = open(path, "w", newline="") if path else sys.stdout
-    try:
+def _write_csv(path: str, header: list, rows: list) -> None:
+    with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(header)
         w.writerows(rows)
-    finally:
-        if path:
-            f.close()
 
 
 def _summary(config: ExperimentConfig, results, fit=None, seconds: float | None = None) -> dict:
@@ -198,11 +207,6 @@ def cmd_match(args) -> int:
     return 0
 
 
-def _seeds(opts: dict) -> list:
-    """The instance seeds of upper-bound and lower-bound: substream t of the master seed."""
-    return [substream_seed(opts["seed"], t) for t in range(opts["seeds"])]
-
-
 def cmd_upper_bound(args) -> int:
     opts = _merge(
         args,
@@ -215,7 +219,8 @@ def cmd_upper_bound(args) -> int:
     )
     t0 = time.perf_counter()
     cfg = xp.PairConfig(n=opts["n"], dim=opts["dim"], side=opts["side"])
-    rows = list(map_trials(partial(xp.upper_bound_row, cfg), _seeds(opts), opts["workers"]))
+    seeds = trial_seeds(opts["seed"], opts["seeds"])
+    rows = list(map_trials(partial(xp.upper_bound_row, cfg), seeds, opts["workers"]))
     header = ["seed", "k_star", "map_cost", "coupling_cost", "optimal_cost"]
     csv_rows = [[r.seed, r.k_star, r.map_cost, r.coupling_cost, r.optimal_cost] for r in rows]
     if opts["out"]:
@@ -240,7 +245,7 @@ def cmd_lower_bound(args) -> int:
     observable = partial(xp.lower_bound_row, cfg, spacing_divisor=opts["grid_divisor"])
     rows = []
     grid_sum = 0.0  # per-grid-point sum of |grad Phi|^2, added in seed order as the grids arrive
-    for row, grid in map_trials(observable, _seeds(opts), opts["workers"]):
+    for row, grid in map_trials(observable, trial_seeds(opts["seed"], opts["seeds"]), opts["workers"]):
         rows.append(row)
         grid_sum += grid
     grid_mean = grid_sum / opts["seeds"]
@@ -309,7 +314,7 @@ def cmd_lemma_check(args) -> int:
                 cfg, opts["trials"], substream_seed(opts["seed"], i, j), workers=opts["workers"]
             )
             mean, var, _ = binomial.moment_bounds(n, theta)
-            emp_var = float(ens.moments.variance)
+            emp_var = ens.variance
             mean_se = np.sqrt(var / opts["trials"])
             mu4 = binomial.binomial_fourth_central_moment(n, theta)
             var_se = np.sqrt(max(mu4 - var**2 * (opts["trials"] - 3) / (opts["trials"] - 1), 0.0) / opts["trials"])
@@ -420,7 +425,7 @@ def run(argv=None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (TrialError, RuntimeError, AssertionError, ArithmeticError) as exc:

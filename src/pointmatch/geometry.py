@@ -77,6 +77,8 @@ def sample_uniform(n: int, side: float, dim: int, seed: int) -> PointCloud:
         raise ValueError(f"side must be finite and > 0, got {side}")
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
     rng = np.random.default_rng(np.uint64(seed))
     pts = rng.random((n, dim)) * side
     return PointCloud(dim=dim, side=float(side), points=pts, seed=int(seed))

@@ -1,10 +1,10 @@
-"""Seeded Monte Carlo ensembles, streaming moments, and scaling-law fits.
+"""Seeded Monte Carlo ensembles, their summaries, and scaling-law fits.
 
 `run_ensemble` and the CLI's per-instance loops run through `map_trials`:
-trial t of a run gets its own seed, the trials run on a process pool (by
-default one worker per CPU this process may run on), and results come back in
-trial order. Each trial depends on its seed alone, so outputs are
-bit-identical for every worker count.
+trial t of a run gets seed `trial_seeds(master, count)[t]`, the trials run on
+a process pool (by default one worker per CPU this process may run on), and
+results come back in trial order. Each trial depends on its seed alone, so
+outputs are bit-identical for every worker count.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent import futures
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,40 +41,6 @@ def default_workers() -> int:
         return os.cpu_count() or 1
 
 
-@dataclass
-class RunningMoments:
-    """Welford accumulator; mergeable so reductions can run as a pairwise tree."""
-
-    count: int = 0
-    mean: float = 0.0
-    m2: float = 0.0
-
-    def update(self, x: float) -> None:
-        self.count += 1
-        delta = x - self.mean
-        self.mean += delta / self.count
-        self.m2 += delta * (x - self.mean)
-
-    def merge(self, other: "RunningMoments") -> "RunningMoments":
-        if self.count == 0:
-            return RunningMoments(other.count, other.mean, other.m2)
-        if other.count == 0:
-            return RunningMoments(self.count, self.mean, self.m2)
-        total = self.count + other.count
-        delta = other.mean - self.mean
-        mean = self.mean + delta * other.count / total
-        m2 = self.m2 + other.m2 + delta**2 * self.count * other.count / total
-        return RunningMoments(total, mean, m2)
-
-    @property
-    def variance(self) -> float:
-        return self.m2 / (self.count - 1) if self.count > 1 else 0.0
-
-    @property
-    def stderr(self) -> float:
-        return math.sqrt(self.variance / self.count) if self.count > 1 else 0.0
-
-
 @dataclass(frozen=True)
 class EnsembleConfig:
     trials: int
@@ -82,18 +48,12 @@ class EnsembleConfig:
     workers: int | None = None  # None: default_workers()
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrialEnsemble:
+    """A seeded ensemble's observations in trial order, summarised by numpy reductions."""
+
     master_seed: int
     observations: np.ndarray
-    moments: RunningMoments = field(repr=False, default=None)
-
-    def __post_init__(self):
-        if self.moments is None:
-            acc = RunningMoments()
-            for x in self.observations:
-                acc.update(float(x))
-            self.moments = acc
 
     @property
     def trials(self) -> int:
@@ -101,11 +61,20 @@ class TrialEnsemble:
 
     @property
     def mean(self) -> float:
-        return self.moments.mean
+        return float(np.mean(self.observations))
+
+    @property
+    def variance(self) -> float:  # unbiased (ddof=1); 0 for a single trial
+        return float(np.var(self.observations, ddof=1)) if self.trials > 1 else 0.0
 
     @property
     def stderr(self) -> float:
-        return self.moments.stderr
+        return math.sqrt(self.variance / self.trials)
+
+
+def trial_seeds(master_seed: int, count: int) -> list:
+    """The seeds of trials 0..count-1 of a run: trial t gets substream t of the master seed."""
+    return [substream_seed(master_seed, t) for t in range(count)]
 
 
 def _run_trial(args):
@@ -139,13 +108,13 @@ def map_trials(observable, seeds, workers: int | None = None):
 def run_ensemble(config: EnsembleConfig, observable) -> TrialEnsemble:
     """Evaluate observable(seed) over independent per-trial substreams.
 
-    Trial t always receives substream_seed(master_seed, t), so results are
-    bit-identical across runs and worker counts; moments are reduced in trial
-    order after gathering.
+    The trials get trial_seeds(master_seed, trials) and are gathered in trial
+    order, so the observations, and the mean and variance numpy reduces them
+    to, are bit-identical across runs and worker counts.
     """
     if config.trials < 2:
         raise ValueError("an ensemble needs at least 2 trials")
-    seeds = [substream_seed(config.master_seed, t) for t in range(config.trials)]
+    seeds = trial_seeds(config.master_seed, config.trials)
     values = [float(v) for v in map_trials(observable, seeds, config.workers)]
     return TrialEnsemble(master_seed=config.master_seed, observations=np.array(values))
 

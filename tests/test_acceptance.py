@@ -153,7 +153,7 @@ def test_criterion_07_lemma_moments():
         mean_se = math.sqrt(var / trials)
         mu4 = bi.binomial_fourth_central_moment(n, theta)
         var_se = math.sqrt((mu4 - var**2 * (trials - 3) / (trials - 1)) / trials)
-        emp_var = ens.moments.variance
+        emp_var = ens.variance
         mean_ok = abs(ens.mean - mean) <= 4 * mean_se
         var_ok = abs(emp_var - var) <= 4 * var_se
         ok &= mean_ok and var_ok

@@ -59,6 +59,17 @@ def test_unknown_flag_exits_2(capsys):
         ["lemma-check", "--c-bound", "0"],
         ["upper-bound", "--workers", "0"],
         ["lower-bound", "--workers", "0"],
+        ["scaling", "--dim", "1", "--n", "4,8,16", "--trials", "2", "--seed", "-1", "--workers", "1"],
+        ["upper-bound", "--seed", "-1"],
+        ["lemma-check", "--c-bound", "inf"],
+        ["upper-bound", "--json", "/nonexistent-dir/ub.json"],
+        ["upper-bound", "--out", "."],
+        ["lower-bound", "--out", "/nonexistent-dir/lb.csv"],
+        ["scaling", "--dim", "1", "--n", "4,8,16", "--trials", "2", "--json", "."],
+        ["lemma-check", "--json", "/nonexistent-dir/lemma.json"],
+        ["sample", "--n", "4", "--seed", "-1"],
+        ["sample", "--n", "4", "--seed", str(2**64)],
+        ["sample", "--n", "4", "--out", "."],
     ],
 )
 def test_bad_configuration_exits_2_before_any_work(capsys, monkeypatch, argv):
@@ -249,3 +260,12 @@ def test_missing_config_file_exits_2(capsys):
     code, _, err = run_cli(capsys, "scaling", "--config", "/nonexistent.json")
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize("subcommand", ["upper-bound", "scaling"])
+def test_config_directory_exits_2_before_any_work(tmp_path, capsys, monkeypatch, subcommand):
+    _forbid_work(monkeypatch)
+    code, out, err = run_cli(capsys, subcommand, "--config", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")

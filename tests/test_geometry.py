@@ -122,3 +122,10 @@ def test_substream_seeds_distinct():
 def test_sample_uniform_rejects_bad_side(side):
     with pytest.raises(ValueError, match="side"):
         geo.sample_uniform(4, side, 2, 0)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_sample_uniform_rejects_seed_outside_64_bits(seed):
+    with pytest.raises(ValueError, match="seed"):
+        geo.sample_uniform(4, 1.0, 2, seed)
+    geo.sample_uniform(4, 1.0, 2, 2**64 - 1)

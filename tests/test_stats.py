@@ -1,5 +1,6 @@
 import math
 import os
+import statistics
 import time
 from functools import partial
 
@@ -30,8 +31,10 @@ def failing_on_third(seed):
 
 def test_constant_observable():
     ens = stats.run_ensemble(stats.EnsembleConfig(trials=50, master_seed=0), constant_seven)
-    assert ens.mean == 7.0
-    assert ens.stderr == 0.0
+    single = stats.TrialEnsemble(master_seed=0, observations=np.array([7.0]))
+    for e in (ens, single):
+        assert e.mean == 7.0
+        assert e.variance == 0.0 and e.stderr == 0.0
 
 
 def test_uniform_mean():
@@ -54,6 +57,11 @@ def test_ensembles_reproducible_and_worker_invariant():
     assert np.array_equal(a.observations, b.observations)
     assert np.array_equal(a.observations, c.observations)
     assert a.mean == c.mean and a.stderr == c.stderr
+
+
+def test_trial_seeds_are_substreams_of_the_master():
+    for master, count in [(0, 0), (2, 1), (11, 64), (2**70, 3)]:
+        assert stats.trial_seeds(master, count) == [substream_seed(master, t) for t in range(count)]
 
 
 def test_trial_failure_reports_seed():
@@ -127,37 +135,17 @@ def test_map_trials_defaults_to_default_workers(monkeypatch):
 
 @given(perm_seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=30, deadline=None)
-def test_streaming_moments_order_independent(perm_seed):
+def test_ensemble_summary_order_independent(perm_seed):
     rng = np.random.default_rng(perm_seed)
     xs = rng.random(200) * 10.0
-    acc1 = stats.RunningMoments()
-    for x in xs:
-        acc1.update(float(x))
-    acc2 = stats.RunningMoments()
-    for x in rng.permutation(xs):
-        acc2.update(float(x))
-    assert acc1.mean == pytest.approx(acc2.mean, rel=1e-12)
-    assert acc1.variance == pytest.approx(acc2.variance, rel=1e-12)
-    # two-pass oracle
-    assert acc1.mean == pytest.approx(float(xs.mean()), rel=1e-12)
-    assert acc1.variance == pytest.approx(float(xs.var(ddof=1)), rel=1e-12)
-
-
-def test_moment_merge_matches_single_pass():
-    rng = np.random.default_rng(5)
-    xs = rng.random(301)
-    whole = stats.RunningMoments()
-    for x in xs:
-        whole.update(float(x))
-    left, right = stats.RunningMoments(), stats.RunningMoments()
-    for x in xs[:150]:
-        left.update(float(x))
-    for x in xs[150:]:
-        right.update(float(x))
-    merged = left.merge(right)
-    assert merged.count == whole.count
-    assert merged.mean == pytest.approx(whole.mean, rel=1e-12)
-    assert merged.variance == pytest.approx(whole.variance, rel=1e-12)
+    ens1 = stats.TrialEnsemble(master_seed=0, observations=xs)
+    ens2 = stats.TrialEnsemble(master_seed=0, observations=rng.permutation(xs))
+    assert ens1.mean == pytest.approx(ens2.mean, rel=1e-12)
+    assert ens1.variance == pytest.approx(ens2.variance, rel=1e-12)
+    # oracle outside numpy: the statistics module sums exactly
+    assert ens1.mean == pytest.approx(statistics.fmean(xs), rel=1e-12)
+    assert ens1.variance == pytest.approx(statistics.variance(xs), rel=1e-12)
+    assert ens1.stderr == pytest.approx(math.sqrt(statistics.variance(xs) / 200), rel=1e-12)
 
 
 # --- scaling fits ---------------------------------------------------------------
