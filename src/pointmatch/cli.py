@@ -4,6 +4,9 @@ Every experiment prints a JSON summary {config, results, fit, version} to stdout
 (the run's configuration is embedded verbatim for provenance) and optionally
 writes plot-ready CSV. Exit codes: 0 success, 2 configuration error, 1
 numerical failure. The default master seed comes from $POINTMATCH_SEED.
+
+Each subcommand's options are declared once, in OPTIONS (name -> default);
+its flags, its --config merge and its embedded config follow from that table.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import partial
 
 import numpy as np
@@ -42,7 +45,6 @@ class ExperimentConfig:
     master_seed: int
     workers: int
     thetas: tuple = ()
-    method: str = ""
     grid_divisor: int = 8
     c_bound: float = 10.0
     out: str | None = None
@@ -73,53 +75,95 @@ class ExperimentConfig:
 
 
 def _env_seed() -> int:
-    return int(os.environ.get(SEED_ENV_VAR, "0"))
+    """The master seed when neither --seed nor --config gives one: $POINTMATCH_SEED, else 0."""
+    text = os.environ.get(SEED_ENV_VAR, "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"${SEED_ENV_VAR} must be an integer, got {text!r}") from None
 
 
-def _int_list(text: str) -> tuple:
-    return tuple(int(v) for v in text.split(","))
+_MATCH_SOLVERS = {"brute": asg.match_bruteforce, "solver": asg.match_solver, "lp": asg.match_lp}
 
+# Each subcommand's options, name -> default. The name gives the flag
+# (grid_divisor -> --grid-divisor) and the default its parse type: int, float,
+# str, None for a path, a tuple for a comma-separated list. A callable default
+# is an int computed only when neither the flag nor --config gives the option.
+_CLOUD = {"dim": 2, "side": 1.0, "seed": _env_seed}
+_RUN = {**_CLOUD, "workers": default_workers, "json": None}
+_BOUND = {"n": 64, "seeds": 10, **_RUN, "out": None}
+OPTIONS = {
+    "sample": {"n": 100, **_CLOUD, "out": None},
+    "match": {"n": 10, **_CLOUD, "method": "solver"},
+    "upper-bound": _BOUND,
+    "lower-bound": {**_BOUND, "grid_divisor": 8},
+    "scaling": {"n": (64, 256, 1024), "trials": (200,), **_RUN, "out": None},
+    "lemma-check": {"n": (1000,), "theta": (0.125,), "trials": 1000, **_RUN, "dim": 1, "c_bound": 10.0},
+}
+HELP = {
+    "n": "points per cloud (scaling, lemma-check: a comma-separated N list)",
+    "dim": "space dimension d",
+    "side": "box side length L",
+    "seed": f"master seed (default ${SEED_ENV_VAR}, else 0)",
+    "seeds": "number of independent instances",
+    "workers": "parallel trial workers (default: the CPUs this process may run on)",
+    "trials": "trials per run (scaling: a comma-separated list, one per N; a single value broadcasts)",
+    "theta": "comma-separated volume fractions",
+    "method": "exact solver: " + ", ".join(_MATCH_SOLVERS),
+    "grid_divisor": "sup-gradient grid spacing divisor",
+    "c_bound": "constant in the concentration bounds",
+    "out": "CSV path (sample: default stdout)",
+    "json": "JSON summary path (default stdout)",
+}
 
-def _float_list(text: str) -> tuple:
-    return tuple(float(v) for v in text.split(","))
-
-
-_MISSING = object()
 # accept the field names a JSON summary embeds, so a run's own config replays it
 _CONFIG_ALIASES = {"n": "n_values", "seed": "master_seed", "theta": "thetas", "seeds": "trials"}
+_CONFIG_FIELDS = {f.name for f in fields(ExperimentConfig)}
 
 
-def _merge(args: argparse.Namespace, defaults: dict) -> dict:
-    """Flags first, then the optional JSON config file, then built-in defaults."""
+def _parse_type(default):
+    """The argparse type of an option, read off its default."""
+    if callable(default):
+        return int
+    if default is None:
+        return str
+    if isinstance(default, tuple):
+        item = type(default[0])
+
+        def parse_list(text: str) -> tuple:
+            return tuple(item(v) for v in text.split(","))
+
+        parse_list.__name__ = f"comma-separated {item.__name__}"
+        return parse_list
+    return type(default)
+
+
+def _merge(args: argparse.Namespace, options: dict) -> dict:
+    """Flags first, then the optional JSON config file, then the declared defaults."""
     from_file = {}
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config) as f:
             from_file = json.load(f)
         if not isinstance(from_file, dict):
             raise ValueError(f"--config {args.config} must hold a JSON object, got {type(from_file).__name__}")
     merged = {}
-    for key, fallback in defaults.items():
-        flag = getattr(args, key, None)
-        if flag is not None:
-            merged[key] = flag
-            continue
-        val = from_file.get(key, _MISSING)
-        if val is _MISSING and key in _CONFIG_ALIASES:
-            val = from_file.get(_CONFIG_ALIASES[key], _MISSING)
-        if val is _MISSING:
-            merged[key] = fallback
-            continue
-        if isinstance(val, list):
-            if isinstance(fallback, tuple):
-                val = tuple(val)
-            elif len(val) == 1:
-                val = val[0]
-        if not _same_kind(val, fallback):
-            raise ValueError(f"--config {args.config}: {key!r} = {val!r} does not have the type of its default {fallback!r}")
+    for key, default in options.items():
+        val = getattr(args, key)
+        name = key if key in from_file else _CONFIG_ALIASES.get(key)
+        if val is None and name in from_file:
+            val = from_file[name]
+            if isinstance(val, list):
+                if isinstance(default, tuple):
+                    val = tuple(val)
+                elif len(val) == 1:
+                    val = val[0]
+            if not _same_kind(val, default):
+                raise ValueError(f"--config {args.config}: {key!r} = {val!r} does not have the type of its default {default!r}")
+        elif val is None:
+            val = default() if callable(default) else default
+        if default is None and val is not None:
+            _check_output_path(key, val)
         merged[key] = val
-    for key, fallback in defaults.items():
-        if fallback is None and merged[key] is not None:
-            _check_output_path(key, merged[key])
     return merged
 
 
@@ -134,6 +178,8 @@ def _check_output_path(key: str, path: str) -> None:
 
 def _same_kind(val, fallback) -> bool:
     """Whether a config-file value has the type of the option's default (None stands for a path)."""
+    if callable(fallback):
+        fallback = 0
     if fallback is None:
         return val is None or isinstance(val, str)
     if isinstance(fallback, tuple):
@@ -145,101 +191,83 @@ def _same_kind(val, fallback) -> bool:
     return isinstance(val, type(fallback))
 
 
-def _emit_json(payload: dict, path: str | None) -> None:
+def _config(subcommand: str, opts: dict) -> ExperimentConfig:
+    """The validated record of a run: options under their field names, a scalar N or trial count as a 1-tuple."""
+    record = {_CONFIG_ALIASES.get(key, key): val for key, val in opts.items()}
+    for field in ("n_values", "trials"):
+        if not isinstance(record[field], tuple):
+            record[field] = (record[field],)
+    return ExperimentConfig(subcommand, **{k: v for k, v in record.items() if k in _CONFIG_FIELDS})
+
+
+def _emit_summary(config: ExperimentConfig, results, fit: dict, t0: float, path: str | None) -> int:
+    """Print the run's JSON summary, or write it to path."""
+    payload = {
+        "config": asdict(config),
+        "results": results,
+        "fit": fit,
+        "version": __version__,
+        "seconds": round(time.perf_counter() - t0, 3),
+    }
     text = json.dumps(payload, indent=2, sort_keys=True)
     if path:
         with open(path, "w") as f:
             f.write(text + "\n")
     else:
         print(text)
-
-
-def _write_csv(path: str, header: list, rows: list) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(header)
-        w.writerows(rows)
-
-
-def _summary(config: ExperimentConfig, results, fit=None, seconds: float | None = None) -> dict:
-    payload = {
-        "config": asdict(config),
-        "results": results,
-        "fit": fit if fit is not None else {},
-        "version": __version__,
-    }
-    if seconds is not None:
-        payload["seconds"] = round(seconds, 3)
-    return payload
-
-
-# ---------------------------------------------------------------------------
-# Subcommands.
-
-
-def cmd_sample(args) -> int:
-    opts = _merge(args, {"n": 100, "dim": 2, "side": 1.0, "seed": _env_seed(), "out": None})
-    cloud = sample_uniform(opts["n"], opts["side"], opts["dim"], opts["seed"])
-    if opts["out"]:
-        cloud_to_csv(cloud, opts["out"])
-    else:
-        cloud_to_csv(cloud, sys.stdout)
     return 0
 
 
-def cmd_match(args) -> int:
-    opts = _merge(args, {"n": 10, "dim": 2, "side": 1.0, "seed": _env_seed(), "method": "solver"})
-    cfg = xp.PairConfig(n=opts["n"], dim=opts["dim"], side=opts["side"])
-    x, y = xp.sample_pair(cfg, opts["seed"])
-    t0 = time.perf_counter()
-    c = asg.cost_matrix(x, y)
+# the scaling CSV names ScalingResult.constant in full
+_CSV_FIELD = {"fitted_constant": "constant"}
+
+
+def _emit_rows(opts: dict, config: ExperimentConfig, header: list, rows: list, t0: float, fit: dict | None = None) -> int:
+    """Write the rows as CSV to --out, one column per header name, then emit the summary."""
+    if opts["out"]:
+        with open(opts["out"], "w", newline="") as f:
+            w = csv.writer(f)
+            w.writerow(header)
+            w.writerows([getattr(r, _CSV_FIELD.get(h, h)) for h in header] for r in rows)
+    return _emit_summary(config, [asdict(r) for r in rows], fit or {}, t0, opts["json"])
+
+
+# ---------------------------------------------------------------------------
+# Subcommands. Each docstring is the subcommand's --help text.
+
+
+def cmd_sample(opts: dict) -> int:
+    """write a uniform cloud as CSV (header x1,...,xd)"""
+    cloud = sample_uniform(opts["n"], opts["side"], opts["dim"], opts["seed"])
+    cloud_to_csv(cloud, opts["out"] or sys.stdout)
+    return 0
+
+
+def cmd_match(opts: dict) -> int:
+    """exact matching cost of one instance; prints JSON"""
     method = opts["method"]
-    if method == "brute":
-        plan = asg.match_bruteforce(c)
-    elif method == "solver":
-        plan = asg.match_solver(c)
-    elif method == "lp":
-        plan = asg.match_lp(c)
-    else:
-        raise ValueError(f"unknown method {method!r}; expected brute, solver or lp")
+    if method not in _MATCH_SOLVERS:
+        raise ValueError(f"unknown method {method!r}; expected one of {', '.join(_MATCH_SOLVERS)}")
+    x, y = xp.sample_pair(xp.PairConfig(n=opts["n"], dim=opts["dim"], side=opts["side"]), opts["seed"])
+    t0 = time.perf_counter()
+    plan = _MATCH_SOLVERS[method](asg.cost_matrix(x, y))
     seconds = time.perf_counter() - t0
     print(json.dumps({"cost": plan.cost, "method": method, "seconds": round(seconds, 6)}))
     return 0
 
 
-def cmd_upper_bound(args) -> int:
-    opts = _merge(
-        args,
-        {"n": 64, "dim": 2, "side": 1.0, "seeds": 10, "seed": _env_seed(),
-         "workers": default_workers(), "out": None, "json": None},
-    )
-    config = ExperimentConfig(
-        subcommand="upper-bound", n_values=(opts["n"],), dim=opts["dim"], side=opts["side"],
-        trials=(opts["seeds"],), master_seed=opts["seed"], workers=opts["workers"], out=opts["out"],
-    )
+def cmd_upper_bound(opts: dict) -> int:
+    """exact hierarchical map and coupling costs, from preimage boxes, vs the optimum; CSV rows (seed, k_star, map_cost, coupling_cost, optimal_cost)"""
+    config = _config("upper-bound", opts)
     t0 = time.perf_counter()
     cfg = xp.PairConfig(n=opts["n"], dim=opts["dim"], side=opts["side"])
-    seeds = trial_seeds(opts["seed"], opts["seeds"])
-    rows = list(map_trials(partial(xp.upper_bound_row, cfg), seeds, opts["workers"]))
-    header = ["seed", "k_star", "map_cost", "coupling_cost", "optimal_cost"]
-    csv_rows = [[r.seed, r.k_star, r.map_cost, r.coupling_cost, r.optimal_cost] for r in rows]
-    if opts["out"]:
-        _write_csv(opts["out"], header, csv_rows)
-    _emit_json(_summary(config, [asdict(r) for r in rows], seconds=time.perf_counter() - t0), opts["json"])
-    return 0
+    rows = list(map_trials(partial(xp.upper_bound_row, cfg), trial_seeds(opts["seed"], opts["seeds"]), opts["workers"]))
+    return _emit_rows(opts, config, ["seed", "k_star", "map_cost", "coupling_cost", "optimal_cost"], rows, t0)
 
 
-def cmd_lower_bound(args) -> int:
-    opts = _merge(
-        args,
-        {"n": 64, "dim": 2, "side": 1.0, "seeds": 10, "grid_divisor": 8,
-         "seed": _env_seed(), "workers": default_workers(), "out": None, "json": None},
-    )
-    config = ExperimentConfig(
-        subcommand="lower-bound", n_values=(opts["n"],), dim=opts["dim"], side=opts["side"],
-        trials=(opts["seeds"],), master_seed=opts["seed"], workers=opts["workers"],
-        grid_divisor=opts["grid_divisor"], out=opts["out"],
-    )
+def cmd_lower_bound(opts: dict) -> int:
+    """dual lower bounds (gradient supremum estimated on a grid) vs the optimum, gain = mean of the potential over the x-cloud (its spatial mean is exactly 0); CSV rows (seed, gain, sup_grad_sq, certified_lower_bound, optimal_cost)"""
+    config = _config("lower-bound", opts)
     t0 = time.perf_counter()
     cfg = xp.PairConfig(n=opts["n"], dim=opts["dim"], side=opts["side"])
     observable = partial(xp.lower_bound_row, cfg, spacing_divisor=opts["grid_divisor"])
@@ -249,62 +277,35 @@ def cmd_lower_bound(args) -> int:
         rows.append(row)
         grid_sum += grid
     grid_mean = grid_sum / opts["seeds"]
-    header = ["seed", "gain", "sup_grad_sq", "certified_lower_bound", "optimal_cost"]
-    csv_rows = [[r.seed, r.gain, r.sup_grad_sq, r.certified_lower_bound, r.optimal_cost] for r in rows]
-    if opts["out"]:
-        _write_csv(opts["out"], header, csv_rows)
     # Both orders of sup and expectation, reported without asserting their ratio.
     fit = {
         "mean_sup_grad_sq": float(np.mean([r.sup_grad_sq for r in rows])),
         "sup_mean_grad_sq": float(grid_mean.max()),
     }
-    _emit_json(_summary(config, [asdict(r) for r in rows], fit=fit, seconds=time.perf_counter() - t0), opts["json"])
-    return 0
+    header = ["seed", "gain", "sup_grad_sq", "certified_lower_bound", "optimal_cost"]
+    return _emit_rows(opts, config, header, rows, t0, fit)
 
 
-def cmd_scaling(args) -> int:
-    opts = _merge(
-        args,
-        {"n": (64, 256, 1024), "dim": 2, "side": 1.0, "trials": (200,),
-         "seed": _env_seed(), "workers": default_workers(), "out": None, "json": None},
-    )
-    n_values = tuple(opts["n"])
-    trials = tuple(opts["trials"])
+def cmd_scaling(opts: dict) -> int:
+    """mean exact cost over N list with shape fit; CSV rows (n, dim, trials, mean, stderr, fitted_constant)"""
+    n_values, trials = opts["n"], opts["trials"]
     if len(trials) == 1:
         trials = trials * len(n_values)
     if len(trials) != len(n_values):
         raise ValueError("--trials must be a single value or one per N")
-    config = ExperimentConfig(
-        subcommand="scaling", n_values=n_values, dim=opts["dim"], side=opts["side"],
-        trials=trials, master_seed=opts["seed"], workers=opts["workers"], out=opts["out"],
-    )
+    config = _config("scaling", {**opts, "trials": trials})
     t0 = time.perf_counter()
     results, fit = xp.scaling_experiment(
         n_values, list(trials), opts["dim"], side=opts["side"],
         master_seed=opts["seed"], workers=opts["workers"],
     )
     header = ["n", "dim", "trials", "mean", "stderr", "fitted_constant"]
-    csv_rows = [[r.n, r.dim, r.trials, r.mean, r.stderr, r.constant] for r in results]
-    if opts["out"]:
-        _write_csv(opts["out"], header, csv_rows)
-    _emit_json(
-        _summary(config, [asdict(r) for r in results], fit=asdict(fit), seconds=time.perf_counter() - t0),
-        opts["json"],
-    )
-    return 0
+    return _emit_rows(opts, config, header, results, t0, asdict(fit))
 
 
-def cmd_lemma_check(args) -> int:
-    opts = _merge(
-        args,
-        {"n": (1000,), "theta": (0.125,), "dim": 1, "side": 1.0, "trials": 1000,
-         "seed": _env_seed(), "c_bound": 10.0, "workers": default_workers(), "json": None},
-    )
-    config = ExperimentConfig(
-        subcommand="lemma-check", n_values=tuple(opts["n"]), dim=opts["dim"], side=opts["side"],
-        trials=(opts["trials"],), master_seed=opts["seed"], workers=opts["workers"],
-        thetas=tuple(opts["theta"]), c_bound=opts["c_bound"],
-    )
+def cmd_lemma_check(opts: dict) -> int:
+    """box-count moment and concentration report (JSON)"""
+    config = _config("lemma-check", opts)
     t0 = time.perf_counter()
     results = []
     for i, n in enumerate(config.n_values):
@@ -331,21 +332,20 @@ def cmd_lemma_check(args) -> int:
             }
             if n * theta >= 1.0:
                 rep = binomial.concentration_check(samples, c_bound=opts["c_bound"])
-                entry.update(
-                    {
-                        "p2_stat": rep.p2_stat,
-                        "p4_stat": rep.p4_stat,
-                        "inv_stat": rep.inv_stat,
-                        "p_bound": rep.p_bound,
-                        "inv_bound": rep.inv_bound,
-                        "p2_ok": rep.p2_ok,
-                        "p4_ok": rep.p4_ok,
-                        "inv_ok": rep.inv_ok,
-                    }
-                )
+                keys = ("p2_stat", "p4_stat", "inv_stat", "p_bound", "inv_bound", "p2_ok", "p4_ok", "inv_ok")
+                entry.update({key: getattr(rep, key) for key in keys})
             results.append(entry)
-    _emit_json(_summary(config, results, seconds=time.perf_counter() - t0), opts["json"])
-    return 0
+    return _emit_summary(config, results, {}, t0, opts["json"])
+
+
+_COMMANDS = {
+    "sample": cmd_sample,
+    "match": cmd_match,
+    "upper-bound": cmd_upper_bound,
+    "lower-bound": cmd_lower_bound,
+    "scaling": cmd_scaling,
+    "lemma-check": cmd_lemma_check,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -359,72 +359,24 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def add_common(p, seeds=False, workers=False):
-        p.add_argument("--config", help="JSON file supplying defaults; flags always win")
-        p.add_argument("--dim", type=int, help="space dimension d")
-        p.add_argument("--side", type=float, help="box side length L")
-        p.add_argument("--seed", type=int, help=f"master seed (default ${SEED_ENV_VAR} or 0)")
-        if seeds:
-            p.add_argument("--seeds", type=int, help="number of independent instances")
-        if workers:
-            p.add_argument("--workers", type=int, help="parallel trial workers (default: the CPUs this process may run on)")
-
-    p = sub.add_parser("sample", help="write a uniform cloud as CSV (header x1,...,xd)")
-    p.add_argument("--n", type=int, help="number of points")
-    p.add_argument("--out", help="CSV path (default stdout)")
-    add_common(p)
-    p.set_defaults(func=cmd_sample)
-
-    p = sub.add_parser("match", help="exact matching cost of one instance; prints JSON")
-    p.add_argument("--n", type=int, help="points per cloud")
-    p.add_argument("--method", choices=["brute", "solver", "lp"])
-    add_common(p)
-    p.set_defaults(func=cmd_match)
-
-    p = sub.add_parser("upper-bound", help="exact hierarchical map and coupling costs, from preimage boxes, vs the optimum; CSV rows (seed, k_star, map_cost, coupling_cost, optimal_cost)")
-    p.add_argument("--n", type=int)
-    p.add_argument("--out", help="CSV path")
-    p.add_argument("--json", help="JSON summary path (default stdout)")
-    add_common(p, seeds=True, workers=True)
-    p.set_defaults(func=cmd_upper_bound)
-
-    p = sub.add_parser("lower-bound", help="dual lower bounds (gradient supremum estimated on a grid) vs the optimum, gain = mean of the potential over the x-cloud (its spatial mean is exactly 0); CSV rows (seed, gain, sup_grad_sq, certified_lower_bound, optimal_cost)")
-    p.add_argument("--n", type=int)
-    p.add_argument("--grid-divisor", dest="grid_divisor", type=int, help="sup-gradient grid spacing divisor")
-    p.add_argument("--out", help="CSV path")
-    p.add_argument("--json", help="JSON summary path (default stdout)")
-    add_common(p, seeds=True, workers=True)
-    p.set_defaults(func=cmd_lower_bound)
-
-    p = sub.add_parser("scaling", help="mean exact cost over N list with shape fit; CSV rows (n, dim, trials, mean, stderr, fitted_constant)")
-    p.add_argument("--n", type=_int_list, help="comma-separated N list")
-    p.add_argument("--trials", type=_int_list, help="trials per N (single value broadcasts)")
-    p.add_argument("--out", help="CSV path")
-    p.add_argument("--json", help="JSON summary path (default stdout)")
-    add_common(p, workers=True)
-    p.set_defaults(func=cmd_scaling)
-
-    p = sub.add_parser("lemma-check", help="box-count moment and concentration report (JSON)")
-    p.add_argument("--n", type=_int_list, help="comma-separated N list")
-    p.add_argument("--theta", type=_float_list, help="comma-separated volume fractions")
-    p.add_argument("--trials", type=int)
-    p.add_argument("--c-bound", dest="c_bound", type=float, help="constant in the concentration bounds")
-    p.add_argument("--json", help="JSON report path (default stdout)")
-    add_common(p, workers=True)
-    p.set_defaults(func=cmd_lemma_check)
-
+    for name, cmd in _COMMANDS.items():
+        p = sub.add_parser(name, help=cmd.__doc__)
+        p.add_argument(
+            "--config",
+            help="JSON file of option values, under the option names or a summary's config field names; flags always win",
+        )
+        for key, default in OPTIONS[name].items():
+            p.add_argument("--" + key.replace("_", "-"), type=_parse_type(default), help=HELP[key])
     return parser
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
-        return args.func(args)
+        return _COMMANDS[args.subcommand](_merge(args, OPTIONS[args.subcommand]))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -156,8 +156,6 @@ def scaling_experiment(
     process may run on); the results do not depend on the count."""
     from .stats import scaling_shape
 
-    if isinstance(trials, int):
-        trials = [trials] * len(n_values)
     if len(trials) != len(n_values):
         raise ValueError("trials list must match n list")
     results = []

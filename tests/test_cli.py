@@ -153,21 +153,67 @@ def test_scaling_uses_config_file_for_unset_flags(tmp_path, capsys):
         ("scaling", "--dim", "1", "--n", "4,8,16", "--trials", "25", "--seed", "13"),
         ("upper-bound", "--n", "16", "--seeds", "3", "--seed", "2"),
         ("lower-bound", "--n", "16", "--seeds", "3", "--seed", "2"),
+        ("lemma-check", "--n", "200", "--theta", "0.125,0.25,0.5", "--trials", "50", "--seed", "4"),
     ],
     ids=lambda argv: argv[0],
 )
 def test_embedded_config_replays_byte_identical_csv(tmp_path, capsys, argv):
-    path = tmp_path / "first.csv"
-    code, out, _ = run_cli(capsys, *argv, "--out", str(path))
+    # lemma-check writes no CSV, so its replay is compared on the JSON results
+    def out_args(name):
+        return [] if argv[0] == "lemma-check" else ["--out", str(tmp_path / name)]
+
+    code, out, _ = run_cli(capsys, *argv, *out_args("first.csv"))
     assert code == 0
-    first = path.read_bytes()
+    first = json.loads(out)
     cfg_path = tmp_path / "replay.json"
-    cfg_path.write_text(json.dumps(json.loads(out)["config"]))
-    path2 = tmp_path / "second.csv"
-    code, out, _ = run_cli(capsys, argv[0], "--config", str(cfg_path), "--out", str(path2))
+    cfg_path.write_text(json.dumps(first["config"]))
+    code, out, _ = run_cli(capsys, argv[0], "--config", str(cfg_path), *out_args("second.csv"))
     assert code == 0
-    assert path2.read_bytes() == first
-    assert len(json.loads(out)["results"]) == 3
+    if argv[0] != "lemma-check":
+        assert (tmp_path / "second.csv").read_bytes() == (tmp_path / "first.csv").read_bytes()
+    second = json.loads(out)
+    assert second["results"] == first["results"]
+    assert len(second["results"]) == 3
+
+
+def test_old_summary_with_method_field_replays(tmp_path, capsys):
+    # summaries written before the unused config.method was dropped carry "method": ""
+    argv = ["upper-bound", "--n", "16", "--seeds", "3", "--seed", "2"]
+    code, out, _ = run_cli(capsys, *argv, "--out", str(tmp_path / "first.csv"))
+    assert code == 0
+    config = json.loads(out)["config"]
+    assert "method" not in config
+    cfg_path = tmp_path / "old.json"
+    cfg_path.write_text(json.dumps({**config, "method": ""}))
+    code, _, _ = run_cli(capsys, "upper-bound", "--config", str(cfg_path), "--out", str(tmp_path / "second.csv"))
+    assert code == 0
+    assert (tmp_path / "second.csv").read_bytes() == (tmp_path / "first.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["upper-bound", "--grid-divisor", "4"],
+        ["scaling", "--theta", "0.5"],
+        ["sample", "--workers", "2"],
+        ["match", "--json", "x.json"],
+        ["lemma-check", "--out", "x.csv"],
+    ],
+)
+def test_options_do_not_leak_across_subcommands(capsys, monkeypatch, argv):
+    _forbid_work(monkeypatch)
+    monkeypatch.setattr(cli, "sample_uniform", lambda *args: pytest.fail("sample ran"))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments" in err
+
+
+@pytest.mark.parametrize("subcommand", ["sample", "match", "upper-bound", "lower-bound", "scaling", "lemma-check"])
+def test_help_exits_0(capsys, subcommand):
+    code, out, _ = run_cli(capsys, subcommand, "--help")
+    assert code == 0
+    assert "--config" in out
 
 
 @pytest.mark.parametrize("subcommand", ["upper-bound", "lower-bound"])
@@ -210,6 +256,40 @@ def test_seed_env_var_provides_default(tmp_path, capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "scaling", "--dim", "1", "--n", "4,8,16", "--trials", "20")
     assert code == 0
     assert json.loads(out)["config"]["master_seed"] == 31
+
+
+@pytest.mark.parametrize("seed_source", ["flag", "config"])
+def test_seed_env_var_is_not_read_when_a_seed_is_given(tmp_path, capsys, monkeypatch, seed_source):
+    monkeypatch.setenv(cli.SEED_ENV_VAR, "abc")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"seed": 5}))
+    given = ["--seed", "5"] if seed_source == "flag" else ["--config", str(cfg_path)]
+    code, out, _ = run_cli(capsys, "sample", "--n", "2", *given)
+    assert code == 0
+    assert len(out.strip().splitlines()) == 3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["upper-bound", "--n", "16", "--seeds", "2"],
+        ["scaling", "--dim", "1", "--n", "4,8,16", "--trials", "20"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_bad_seed_env_var_exits_2_naming_it_before_any_work(capsys, monkeypatch, argv):
+    _forbid_work(monkeypatch)
+    monkeypatch.setenv(cli.SEED_ENV_VAR, "abc")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert cli.SEED_ENV_VAR in err
+
+
+def test_scaling_experiment_needs_one_trial_count_per_n():
+    with pytest.raises(ValueError, match="trials list must match n list"):
+        cli.xp.scaling_experiment([4, 8, 16], [2, 2], dim=1, workers=1)
 
 
 def test_upper_bound_csv_schema(tmp_path, capsys):
