@@ -1,8 +1,9 @@
 """Experiment drivers binding sampling, solvers, maps, and potentials.
 
-Observables are module-level functions over frozen dataclass configs so trial
-workers can pickle them; every randomized quantity inside a trial draws from a
-substream derived from the trial seed.
+Observables are module-level functions over frozen dataclass configs, bound
+with `functools.partial`; forked trial workers inherit them and pickle back only
+their results. Every randomized quantity inside a trial draws from a substream
+derived from the trial seed.
 """
 
 from __future__ import annotations

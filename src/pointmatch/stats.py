@@ -1,17 +1,24 @@
 """Seeded Monte Carlo ensembles, their summaries, and scaling-law fits.
 
 `run_ensemble` and the CLI's per-instance loops run through `map_trials`:
-trial t of a run gets seed `trial_seeds(master, count)[t]`, the trials run on
-a process pool (by default one worker per CPU this process may run on), and
-results come back in trial order. Each trial depends on its seed alone, so
-outputs are bit-identical for every worker count.
+trial t of a run gets seed `trial_seeds(master, count)[t]`. With w workers (by
+default one per CPU this process may run on) the trials are cut into w
+contiguous shares: this process runs share 0 and w - 1 forked children run the
+rest, and only the results are pickled back. Results come back in trial order.
+Each trial depends on its seed alone, so outputs are bit-identical for every
+worker count.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
 import os
-from concurrent import futures
+import pickle
+import queue
+import signal
+import threading
+import traceback
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +30,7 @@ class TrialError(RuntimeError):
     """A trial observable failed; carries the trial index and seed."""
 
     def __init__(self, trial: int, seed: int, cause: str):
-        # args hold the constructor's arguments, so the error pickles back from a worker
+        # args hold the constructor's arguments, so the error pickles back from a forked child
         super().__init__(trial, seed, cause)
         self.trial = trial
         self.seed = seed
@@ -77,8 +84,7 @@ def trial_seeds(master_seed: int, count: int) -> list:
     return [substream_seed(master_seed, t) for t in range(count)]
 
 
-def _run_trial(args):
-    observable, trial, seed = args
+def _run_trial(observable, trial: int, seed: int):
     try:
         return observable(seed)
     except TrialError:
@@ -87,22 +93,117 @@ def _run_trial(args):
         raise TrialError(trial, seed, repr(exc)) from exc
 
 
+def _write_pickles(pickles: queue.SimpleQueue, out) -> None:
+    for payload in iter(pickles.get, None):
+        out.write(payload)
+
+
+class _Child:
+    """A forked child that runs trials lo..hi-1 and pickles each result to a pipe."""
+
+    def __init__(self, observable, seeds: list, lo: int, hi: int):
+        self.seeds, self.lo, self.hi = seeds, lo, hi
+        self.running = memoryview(mmap.mmap(-1, 8)).cast("q")  # shared with the child: its current trial
+        self.running[0] = lo
+        read_fd, write_fd = os.pipe()
+        self.pid = os.fork()
+        if self.pid == 0:
+            status = 1
+            try:
+                os.close(read_fd)
+                with os.fdopen(write_fd, "wb") as out:
+                    self._run(observable, out)
+                status = 0
+            except Exception:  # noqa: BLE001 - shown here; the parent names the trial
+                traceback.print_exc()
+            finally:
+                os._exit(status)
+        os.close(write_fd)
+        self.pipe = os.fdopen(read_fd, "rb")
+        self.reaped = False
+
+    def _run(self, observable, out) -> None:
+        """In the child: one pickle per result, stopping after the first TrialError, which is pickled instead.
+
+        A thread writes the pickles, so the trials need not wait for a parent
+        that reads this share after its own.
+        """
+        pickles = queue.SimpleQueue()
+        writer = threading.Thread(target=_write_pickles, args=(pickles, out))
+        writer.start()
+        try:
+            for t in range(self.lo, self.hi):
+                self.running[0] = t
+                try:
+                    result = _run_trial(observable, t, self.seeds[t])
+                except TrialError as err:
+                    pickles.put(pickle.dumps(err))
+                    break
+                pickles.put(pickle.dumps(result, pickle.HIGHEST_PROTOCOL))
+        finally:
+            pickles.put(None)
+            writer.join()
+
+    def results(self):
+        """Yield the child's results in trial order and raise its TrialError.
+
+        If the pipe ends early, the child died: the error names the trial it
+        was running, whose seed reproduces the death.
+        """
+        for _ in range(self.lo, self.hi):
+            try:
+                result = pickle.load(self.pipe)
+            except (EOFError, pickle.UnpicklingError):
+                code = self._wait()
+                t = self.running[0]
+                raise TrialError(t, self.seeds[t], f"worker exited with status {code}") from None
+            if isinstance(result, TrialError):
+                raise result
+            yield result
+
+    def _wait(self) -> int:
+        """Reap the child; its exit code, -n if signal n killed it."""
+        self.pipe.close()
+        self.reaped = True
+        return os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+
+    def stop(self) -> None:
+        if not self.reaped:
+            os.kill(self.pid, signal.SIGKILL)
+            self._wait()
+
+
 def map_trials(observable, seeds, workers: int | None = None):
     """Yield observable(seed) for each seed, in order; trial t is seeds[t].
 
-    The trials run on a process pool of `workers` processes (None:
-    default_workers()), never more than there are trials; with one worker they
-    run in this process. A failure raises TrialError for the first failing
-    trial. The observable and its results are pickled, so it must be a
-    module-level function or a partial of one.
+    With w = min(workers, trials) > 1 (workers None: default_workers()) the
+    trials are cut into w contiguous shares. This process runs share 0 and
+    yields its results as they come; w - 1 forked children run the others,
+    each pickling its results one by one to a pipe that is read in trial
+    order. The children inherit the observable, so only results need to
+    pickle. With one worker, or where os.fork does not exist, the trials run
+    in this process. The first failing trial raises TrialError, and so does
+    the trial a child dies in. Children still running when the map ends,
+    fails or is closed are killed and reaped.
     """
-    jobs = [(observable, t, seed) for t, seed in enumerate(seeds)]
-    workers = min(default_workers() if workers is None else workers, len(jobs))
-    if workers <= 1:
-        yield from map(_run_trial, jobs)
+    seeds = list(seeds)
+    workers = min(default_workers() if workers is None else workers, len(seeds))
+    if workers <= 1 or not hasattr(os, "fork"):
+        for t, seed in enumerate(seeds):
+            yield _run_trial(observable, t, seed)
         return
-    with futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(_run_trial, jobs, chunksize=max(1, len(jobs) // (4 * workers)))
+    cuts = [len(seeds) * i // workers for i in range(workers + 1)]
+    children = []
+    try:
+        for lo, hi in zip(cuts[1:-1], cuts[2:]):
+            children.append(_Child(observable, seeds, lo, hi))
+        for t in range(cuts[1]):
+            yield _run_trial(observable, t, seeds[t])
+        for child in children:
+            yield from child.results()
+    finally:
+        for child in children:
+            child.stop()
 
 
 def run_ensemble(config: EnsembleConfig, observable) -> TrialEnsemble:

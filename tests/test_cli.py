@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -232,10 +233,11 @@ def test_outputs_do_not_depend_on_worker_count(tmp_path, capsys, subcommand):
 
 
 FAILING_SEED = substream_seed(5, 2)
+TEST_PID = os.getpid()
 
 
 def fail_on_third_instance(cfg, seed, **kwargs):
-    # module level, so a pool worker can unpickle it; other instances give a (row, grid) stand-in
+    # forked children inherit the patched row function; other instances give a (row, grid) stand-in
     if seed == FAILING_SEED:
         raise ArithmeticError("injected")
     return seed, 0.0
@@ -249,6 +251,21 @@ def test_failing_instance_exits_1_naming_trial_and_seed(capsys, monkeypatch, sub
     assert code == 1
     assert out == ""
     assert f"trial 2 (seed {FAILING_SEED}) failed: ArithmeticError('injected')" in err
+
+
+def exit_on_third_instance(cfg, seed, **kwargs):
+    # with 4 seeds and 2 workers, trial 2 is the first of the forked child's share
+    if seed == FAILING_SEED and os.getpid() != TEST_PID:
+        os._exit(3)
+    return seed, 0.0
+
+
+def test_dead_worker_exits_1_naming_trial_and_seed(capsys, monkeypatch):
+    monkeypatch.setattr(cli.xp, "upper_bound_row", exit_on_third_instance)
+    code, out, err = run_cli(capsys, "upper-bound", "--n", "16", "--seeds", "4", "--seed", "5", "--workers", "2")
+    assert code == 1
+    assert out == ""
+    assert f"trial 2 (seed {FAILING_SEED}) failed: worker exited with status 3" in err
 
 
 def test_seed_env_var_provides_default(tmp_path, capsys, monkeypatch):

@@ -1,5 +1,6 @@
 import math
 import os
+import signal
 import statistics
 import time
 from functools import partial
@@ -92,30 +93,104 @@ def test_map_trials_failure_names_first_failing_trial(workers):
     assert f"trial {first} (seed {seeds[first]}) failed: ArithmeticError('boom')" == str(err.value)
 
 
-class RecordingPool:
-    """In-process stand-in for ProcessPoolExecutor that records its size."""
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the children os.fork starts in this process during the test."""
+    pids = []
+    real_fork = os.fork
 
-    sizes = []
+    def recording_fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
 
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, jobs, chunksize):
-        return map(fn, jobs)
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids
 
 
 @pytest.mark.parametrize("workers,seeds,pool_size", [(1, 5, None), (8, 3, 3), (2, 1, None), (2, 10, 2)])
-def test_map_trials_pool_never_exceeds_tasks(monkeypatch, workers, seeds, pool_size):
-    monkeypatch.setattr(stats.futures, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(RecordingPool, "sizes", [])
+def test_map_trials_pool_never_exceeds_tasks(forks, workers, seeds, pool_size):
+    # pool_size counts this process and its children; None: in-process, no fork
     assert list(stats.map_trials(constant_seven, range(seeds), workers=workers)) == [7.0] * seeds
-    assert RecordingPool.sizes == ([] if pool_size is None else [pool_size])
+    assert len(forks) == (0 if pool_size is None else pool_size - 1)
+
+
+def test_map_trials_runs_share_0_in_this_process(forks):
+    pids = list(stats.map_trials(lambda seed: os.getpid(), range(4), workers=2))
+    assert pids == [os.getpid()] * 2 + forks * 2
+
+
+def test_map_trials_runs_in_process_without_fork(monkeypatch):
+    monkeypatch.delattr(os, "fork")
+    assert list(stats.map_trials(lambda seed: os.getpid(), range(4), workers=2)) == [os.getpid()] * 4
+
+
+@pytest.mark.parametrize("workers", [2, 5])
+def test_map_trials_lambda_observable_matches_in_process(workers):
+    # the children inherit the observable, so only its results need to pickle
+    observable = lambda seed: (seed, np.random.default_rng(seed).random(3))  # noqa: E731
+    serial = list(stats.map_trials(observable, range(7), workers=1))
+    forked = list(stats.map_trials(observable, range(7), workers=workers))
+    assert [s for s, _ in forked] == list(range(7))
+    assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(serial, forked))
+
+
+TEST_PID = os.getpid()
+
+
+def exits_on_seed_7(seed):
+    # only in a forked child: exiting in this process would end the test run
+    if seed == 7 and os.getpid() != TEST_PID:
+        os._exit(3)
+    return seed
+
+
+def killed_on_seed_7(seed):
+    if seed == 7 and os.getpid() != TEST_PID:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return seed
+
+
+@pytest.mark.parametrize("observable,status", [(exits_on_seed_7, 3), (killed_on_seed_7, -9)])
+def test_map_trials_dead_worker_names_its_trial(observable, status):
+    # shares [0, 5) here and [5, 10) in the child, which dies after trials 5 and 6
+    with pytest.raises(stats.TrialError) as err:
+        list(stats.map_trials(observable, range(10), workers=2))
+    assert str(err.value) == f"trial 7 (seed 7) failed: worker exited with status {status}"
+
+
+def fails_first_sleeps_in_child(seed):
+    if seed == 0:
+        raise ArithmeticError("first")
+    if os.getpid() != TEST_PID:
+        time.sleep(30)
+    return seed
+
+
+def _assert_reaped(pids):
+    assert pids
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+def test_map_trials_kills_children_when_this_share_fails(forks):
+    start = time.monotonic()
+    with pytest.raises(stats.TrialError) as err:
+        list(stats.map_trials(fails_first_sleeps_in_child, range(4), workers=2))
+    assert err.value.trial == 0
+    assert time.monotonic() - start < 5
+    _assert_reaped(forks)
+
+
+def test_map_trials_kills_children_when_closed_early(forks):
+    start = time.monotonic()
+    results = stats.map_trials(fails_first_sleeps_in_child, range(1, 5), workers=2)
+    assert next(results) == 1
+    results.close()
+    assert time.monotonic() - start < 5
+    _assert_reaped(forks)
 
 
 def test_default_workers_is_the_affinity_set(monkeypatch):
@@ -124,13 +199,12 @@ def test_default_workers_is_the_affinity_set(monkeypatch):
     assert stats.default_workers() == (os.cpu_count() or 1)
 
 
-def test_map_trials_defaults_to_default_workers(monkeypatch):
-    monkeypatch.setattr(stats.futures, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(RecordingPool, "sizes", [])
+def test_map_trials_defaults_to_default_workers(monkeypatch, forks):
     monkeypatch.setattr(stats, "default_workers", lambda: 3)
     list(stats.map_trials(constant_seven, range(100)))
+    assert len(forks) == 2
     stats.run_ensemble(stats.EnsembleConfig(trials=100, master_seed=0), constant_seven)
-    assert RecordingPool.sizes == [3, 3]
+    assert len(forks) == 4
 
 
 @given(perm_seed=st.integers(0, 2**32 - 1))
