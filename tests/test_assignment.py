@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -133,6 +137,112 @@ def test_d1_closed_form_n10():
     ens = run_ensemble(EnsembleConfig(trials=10_000, master_seed=123), partial(matching_cost, cfg))
     target = 1.0 / 33.0
     assert abs(ens.mean - target) <= 3 * ens.stderr
+
+
+# --- warm start -------------------------------------------------------------
+
+
+def _plain_optimum(x, y):
+    return asg.match_solver(asg.cost_matrix(x, y)).cost
+
+
+def _lattice_pair(n, dim, steps, side, seed):
+    # every coordinate is a multiple of side/steps, so the clouds are full of tied permutations
+    rng = np.random.default_rng(seed)
+    return tuple(_cloud_from(rng.integers(0, steps + 1, (n, dim)) * (side / steps), side) for _ in range(2))
+
+
+@pytest.mark.parametrize("dim", range(2, 13))
+def test_pair_cost_matches_the_cost_matrix_bit_for_bit(dim):
+    # d >= 8 is where a plain sum over the axes would switch to numpy's unrolled pairwise order
+    x, y = _pair(200, dim, 40 + dim, side=2.5)
+    c = asg.cost_matrix(x, y)
+    for perm in (np.arange(200), np.random.default_rng(dim).permutation(200)):
+        assert asg.pair_cost(x, y, perm) == asg.perm_cost(c, perm)
+
+
+_WARM_N = [2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 14, 16, 20, 24, 28, 32, 40, 48, 56, 64]
+_WARM_N += [80, 96, 112, 128, 160, 192, 224, 256, 320, 384, 448, 512, 768, 1024]
+
+
+@pytest.mark.parametrize("side", [1.0, 2.5])
+@pytest.mark.parametrize("dim", [2, 3, 4, 6, 9, 12])
+def test_warm_start_equals_the_plain_solve(dim, side):
+    for n in _WARM_N:
+        x = geo.sample_uniform(n, side, dim, geo.substream_seed(31, dim, n, 0))
+        y = geo.sample_uniform(n, side, dim, geo.substream_seed(31, dim, n, 1))
+        f = asg.poisson_dual(x, y)
+        if f is not None:
+            assert f.shape == (n,) and np.all(np.isfinite(f))
+        assert asg.optimal_cost(x, y) == _plain_optimum(x, y), (dim, side, n)
+
+
+@pytest.mark.parametrize("steps", [4, 8])
+def test_warm_start_equals_the_plain_solve_on_dyadic_lattices(steps):
+    # dyadic steps make every entry and sum exact, so tied permutations cost exactly the same
+    for seed in range(10):
+        x, y = _lattice_pair(40 + 25 * seed, 2 + seed % 2, steps, (1.0, 2.5)[seed % 2], seed)
+        assert asg.optimal_cost(x, y) == _plain_optimum(x, y), seed
+
+
+@pytest.mark.parametrize("steps", [3, 7])
+def test_warm_start_on_other_lattices_is_optimal_up_to_summation_rounding(steps):
+    # another tied permutation may be picked, whose rounded entries sum to a last bit of difference
+    for seed in range(10):
+        n = 40 + 25 * seed
+        x, y = _lattice_pair(n, 2 + seed % 2, steps, (1.0, 2.5)[seed % 2], 100 + seed)
+        plain = _plain_optimum(x, y)
+        assert asg.optimal_cost(x, y) == pytest.approx(plain, rel=n * np.finfo(float).eps, abs=0.0), seed
+
+
+def test_warm_start_with_points_on_the_boundary():
+    pts = np.random.default_rng(3).random((64, 2))
+    pts[:8] = [[0, 0], [1, 1], [0, 1], [1, 0], [0, 0.5], [1, 0.5], [0.5, 0], [0.5, 1]]
+    for side in (1.0, 2.5):
+        x = _cloud_from(pts * side, side)
+        y = _cloud_from(pts[::-1] * side * np.array([1.0, 0.5]) + [0, 0.25 * side], side)
+        f = asg.poisson_dual(x, y)
+        assert f.shape == (64,) and np.all(np.isfinite(f))
+        assert asg.optimal_cost(x, y) == _plain_optimum(x, y)
+
+
+def test_warm_start_on_identical_clouds_costs_zero():
+    x = geo.sample_uniform(300, 1.0, 3, 12)
+    assert np.array_equal(asg.poisson_dual(x, x), np.zeros(300))
+    assert asg.optimal_cost(x, x) == 0.0
+
+
+@pytest.mark.parametrize("n, dim", [(1, 2), (1, 3), (64, 12)])
+def test_warm_start_falls_back_to_the_plain_solve(n, dim):
+    # a grid larger than the cost matrix is not built
+    x, y = _pair(n, dim, 13)
+    assert asg.poisson_dual(x, y) is None
+    assert asg.optimal_cost(x, y) == _plain_optimum(x, y)
+
+
+def test_poisson_dual_rejects_mismatched_clouds():
+    with pytest.raises(ValueError, match="differ"):
+        asg.poisson_dual(*(geo.sample_uniform(n, 1.0, 2, 0) for n in (16, 17)))
+
+
+_OPTIMUM_RSS_PROBE = """
+import resource
+from pointmatch import assignment as asg, geometry as geo
+x, y = (geo.sample_uniform(4096, 1.0, 3, geo.substream_seed(7, i)) for i in (0, 1))
+asg.optimal_cost(*(geo.sample_uniform(64, 1.0, 3, i) for i in (0, 1)))
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+asg.optimal_cost(x, y)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+"""
+
+
+def test_optimal_cost_peak_memory_is_one_cost_matrix():
+    # d = 3, N = 4096: a second N x N array (the potential subtracted out of place) would double the growth
+    src = str(Path(asg.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", _OPTIMUM_RSS_PROBE], env=env, capture_output=True, text=True, check=True)
+    growth_bytes = int(out.stdout) * 1024  # ru_maxrss is in KiB on Linux
+    assert growth_bytes < 1.2 * 8 * 4096**2
 
 
 # --- LP --------------------------------------------------------------------

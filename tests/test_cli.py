@@ -1,5 +1,8 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -37,6 +40,14 @@ def test_match_methods_agree(capsys):
         assert set(payload) == {"cost", "method", "seconds"}
         costs[method] = payload["cost"]
     assert costs["brute"] == costs["solver"] == pytest.approx(costs["lp"], abs=1e-9)
+
+
+def test_package_runs_as_a_module():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-m", "pointmatch", "--help"], env=env, capture_output=True, text=True)
+    assert out.returncode == 0
+    assert "upper-bound" in out.stdout
 
 
 def test_unknown_flag_exits_2(capsys):
