@@ -36,8 +36,8 @@ from .dyadic_transport import (
     couple_two_clouds,
     evaluate_map,
     map_cost,
-    recursion_audit,
 )
+from .experiments import recursion_audit
 from .geometry import Box, MicroScale, PointCloud, micro_scale, sample_uniform, substream_seed
 from .stats import EnsembleConfig, ScalingFit, TrialEnsemble, fit_scaling, run_ensemble, trial_seeds
 

@@ -62,6 +62,7 @@ class TransportPlan:
 
 
 def _check_pair(x: PointCloud, y: PointCloud) -> None:
+    """Reject two clouds that are empty or differ in size, dim or side."""
     if x.n != y.n:
         raise ValueError(f"cloud sizes differ: {x.n} vs {y.n}")
     if x.n < 1:
@@ -143,10 +144,9 @@ def match_solver(c: CostMatrix) -> TransportPlan:
 
 def monotone_matching_1d(x: PointCloud, y: PointCloud) -> TransportPlan:
     """Pair sorted orders; optimal in d = 1 for the squared-distance cost."""
-    if x.dim != 1 or y.dim != 1:
+    _check_pair(x, y)
+    if x.dim != 1:
         raise ValueError("monotone matching applies to d = 1 only")
-    if x.n != y.n or x.n < 1:
-        raise ValueError("clouds must be nonempty and of equal size")
     ix = np.argsort(x.points[:, 0], kind="stable")
     iy = np.argsort(y.points[:, 0], kind="stable")
     perm = np.empty(x.n, dtype=np.intp)

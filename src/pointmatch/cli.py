@@ -1,4 +1,5 @@
-"""Experiment runner: sample, match, upper-bound, lower-bound, scaling, lemma-check.
+"""Experiment runner: sample, match, upper-bound, lower-bound, sandwich, scaling,
+recursion-audit, lemma-check.
 
 Every experiment prints a JSON summary {config, results, fit, version} to stdout
 (the run's configuration is embedded verbatim for provenance) and optionally
@@ -51,7 +52,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         """Reject, before any work starts, a configuration no run can complete."""
-        min_trials = 2 if self.subcommand in ("scaling", "lemma-check") else 1
+        min_trials = 2 if self.subcommand in ("scaling", "lemma-check", "recursion-audit") else 1
         checks = [
             (self.dim >= 1, f"--dim must be >= 1, got {self.dim}"),
             (math.isfinite(self.side) and self.side > 0, f"--side must be finite and > 0, got {self.side}"),
@@ -97,7 +98,9 @@ OPTIONS = {
     "match": {"n": 10, **_CLOUD, "method": "solver"},
     "upper-bound": _BOUND,
     "lower-bound": {**_BOUND, "grid_divisor": 8},
+    "sandwich": _BOUND,
     "scaling": {"n": (64, 256, 1024), "trials": (200,), **_RUN, "out": None},
+    "recursion-audit": {"n": 1024, "trials": 100, **_RUN, "out": None},
     "lemma-check": {"n": (1000,), "theta": (0.125,), "trials": 1000, **_RUN, "dim": 1, "c_bound": 10.0},
 }
 HELP = {
@@ -248,6 +251,8 @@ def cmd_match(opts: dict) -> int:
     method = opts["method"]
     if method not in _MATCH_SOLVERS:
         raise ValueError(f"unknown method {method!r}; expected one of {', '.join(_MATCH_SOLVERS)}")
+    if opts["seed"] < 0:
+        raise ValueError(f"--seed must be >= 0, got {opts['seed']}")
     x, y = xp.sample_pair(xp.PairConfig(n=opts["n"], dim=opts["dim"], side=opts["side"]), opts["seed"])
     t0 = time.perf_counter()
     plan = _MATCH_SOLVERS[method](asg.cost_matrix(x, y))
@@ -256,12 +261,17 @@ def cmd_match(opts: dict) -> int:
     return 0
 
 
+def _instances(opts: dict, row, **kwargs):
+    """row(cfg, seed) of each of the run's --seeds instances, in seed order, on --workers processes."""
+    cfg = xp.PairConfig(n=opts["n"], dim=opts["dim"], side=opts["side"])
+    return map_trials(partial(row, cfg, **kwargs), trial_seeds(opts["seed"], opts["seeds"]), opts["workers"])
+
+
 def cmd_upper_bound(opts: dict) -> int:
     """exact hierarchical map and coupling costs, from preimage boxes, vs the optimum; CSV rows (seed, k_star, map_cost, coupling_cost, optimal_cost)"""
     config = _config("upper-bound", opts)
     t0 = time.perf_counter()
-    cfg = xp.PairConfig(n=opts["n"], dim=opts["dim"], side=opts["side"])
-    rows = list(map_trials(partial(xp.upper_bound_row, cfg), trial_seeds(opts["seed"], opts["seeds"]), opts["workers"]))
+    rows = list(_instances(opts, xp.upper_bound_row))
     return _emit_rows(opts, config, ["seed", "k_star", "map_cost", "coupling_cost", "optimal_cost"], rows, t0)
 
 
@@ -269,11 +279,9 @@ def cmd_lower_bound(opts: dict) -> int:
     """dual lower bounds (gradient supremum estimated on a grid) vs the optimum, gain = mean of the potential over the x-cloud (its spatial mean is exactly 0); CSV rows (seed, gain, sup_grad_sq, certified_lower_bound, optimal_cost)"""
     config = _config("lower-bound", opts)
     t0 = time.perf_counter()
-    cfg = xp.PairConfig(n=opts["n"], dim=opts["dim"], side=opts["side"])
-    observable = partial(xp.lower_bound_row, cfg, spacing_divisor=opts["grid_divisor"])
     rows = []
     grid_sum = 0.0  # per-grid-point sum of |grad Phi|^2, added in seed order as the grids arrive
-    for row, grid in map_trials(observable, trial_seeds(opts["seed"], opts["seeds"]), opts["workers"]):
+    for row, grid in _instances(opts, xp.lower_bound_row, spacing_divisor=opts["grid_divisor"]):
         rows.append(row)
         grid_sum += grid
     grid_mean = grid_sum / opts["seeds"]
@@ -284,6 +292,32 @@ def cmd_lower_bound(opts: dict) -> int:
     }
     header = ["seed", "gain", "sup_grad_sq", "certified_lower_bound", "optimal_cost"]
     return _emit_rows(opts, config, header, rows, t0, fit)
+
+
+def cmd_sandwich(opts: dict) -> int:
+    """per-instance sandwich dual lower bound <= optimum <= coupling cost, each optimum solved once; CSV rows (seed, certified_lower_bound, optimal_cost, coupling_cost, lb_over_opt, ub_over_opt); exits 1, after writing both, if an instance breaks it"""
+    config = _config("sandwich", opts)
+    t0 = time.perf_counter()
+    rows = list(_instances(opts, xp.sandwich_row))
+    # Both costs are sums of N non-negative terms, each off by at most about
+    # N eps relative; so a coupling that undercuts the optimum by less than
+    # 2 N eps opt is tight (in d = 1 it is the monotone optimum), not a
+    # violation. The lower side is checked strictly.
+    slack = 2 * opts["n"] * sys.float_info.epsilon
+    violating = [
+        r.seed for r in rows
+        if not r.certified_lower_bound <= r.optimal_cost or r.optimal_cost - r.coupling_cost > slack * r.optimal_cost
+    ]
+    fit = {
+        "violations": len(violating),
+        "upper_tight": sum(abs(r.optimal_cost - r.coupling_cost) <= slack * r.optimal_cost for r in rows),
+    }
+    header = ["seed", "certified_lower_bound", "optimal_cost", "coupling_cost", "lb_over_opt", "ub_over_opt"]
+    _emit_rows(opts, config, header, rows, t0, fit)
+    if violating:
+        print(f"sandwich violated at seed(s) {', '.join(map(str, violating))}", file=sys.stderr)
+        return 1
+    return 0
 
 
 def cmd_scaling(opts: dict) -> int:
@@ -301,6 +335,18 @@ def cmd_scaling(opts: dict) -> int:
     )
     header = ["n", "dim", "trials", "mean", "stderr", "fitted_constant"]
     return _emit_rows(opts, config, header, results, t0, asdict(fit))
+
+
+def cmd_recursion_audit(opts: dict) -> int:
+    """per-level cost of the hierarchical map, exact per cloud, averaged over --trials clouds, and the smallest constant of the one-step recursion; CSV rows (level, scale, mean_sq, stderr, increment, cross_term, cross_stderr, admissible_c)"""
+    config = _config("recursion-audit", opts)
+    t0 = time.perf_counter()
+    audit = xp.recursion_audit(
+        opts["n"], opts["dim"], side=opts["side"], trials=opts["trials"],
+        master_seed=opts["seed"], workers=opts["workers"],
+    )
+    header = [f.name for f in fields(xp.AuditRow)]
+    return _emit_rows(opts, config, header, audit.rows, t0, {"admissible_c": audit.admissible_c})
 
 
 def cmd_lemma_check(opts: dict) -> int:
@@ -343,7 +389,9 @@ _COMMANDS = {
     "match": cmd_match,
     "upper-bound": cmd_upper_bound,
     "lower-bound": cmd_lower_bound,
+    "sandwich": cmd_sandwich,
     "scaling": cmd_scaling,
+    "recursion-audit": cmd_recursion_audit,
     "lemma-check": cmd_lemma_check,
 }
 

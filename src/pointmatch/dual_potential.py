@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .assignment import _check_pair
 from .dyadic_transport import (
     DyadicTree,
     box_corners,
@@ -297,8 +298,7 @@ def lower_bound_functional(
     the lower bound is the one `dual_lower_bound` returns.
     """
     _check_same_cloud(cloud_x, p)
-    if cloud_y.n != cloud_x.n or cloud_y.dim != cloud_x.dim or cloud_y.side != cloud_x.side:
-        raise ValueError("clouds must share size, dim and side")
+    _check_pair(cloud_x, cloud_y)
     values, _ = potential_eval_batch(p, np.concatenate([cloud_x.points, cloud_y.points]))
     mean_x, mean_y = float(values[: cloud_x.n].mean()), float(values[cloud_x.n :].mean())
     _, grid = grad_sq_on_grid(p, spacing_divisor)

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assignment import TransportPlan
-from .geometry import PointCloud, sample_uniform, substream_seed
+from .assignment import TransportPlan, _check_pair
+from .geometry import PointCloud
 
 MIN_COST_PROBES = 1000
 COUPLING_CHUNK_PAIRS = 1 << 18  # candidate point pairs per chunk in the exact coupling
@@ -321,8 +321,7 @@ def couple_two_clouds(
     Returns the plan and the standard error of its cost.
     """
     tx, ty = t.tree.cloud, s.tree.cloud
-    if tx.n != ty.n or tx.dim != ty.dim or tx.side != ty.side:
-        raise ValueError("maps must be built over clouds of equal size, dim and side")
+    _check_pair(tx, ty)
     if probes < MIN_COST_PROBES:
         raise ValueError(f"probes must be >= {MIN_COST_PROBES}")
     rng = np.random.default_rng(np.uint64(seed))
@@ -426,8 +425,7 @@ def _coupling_chunks(t: HierarchicalMap, s: HierarchicalMap):
     first candidate falls in its window, so no box pair is split.
     """
     tx, ty = t.tree, s.tree
-    if tx.cloud.n != ty.cloud.n or tx.dim != ty.dim or tx.side != ty.side:
-        raise ValueError("maps must be built over clouds of equal size, dim and side")
+    _check_pair(tx.cloud, ty.cloud)
     (lo_t, hi_t), (lo_s, hi_s) = _domain(tx), _domain(ty)
     a = b = np.zeros(1, dtype=np.int64)
     for level in range(1, tx.k_star + 1):
@@ -480,7 +478,7 @@ def coupling_cost_exact(t: HierarchicalMap, s: HierarchicalMap) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Per-level cost recursion audit.
+# Per-level costs of the composed map, in closed form.
 
 
 def level_costs_exact(tree: DyadicTree) -> tuple[np.ndarray, np.ndarray]:
@@ -507,72 +505,3 @@ def level_costs_exact(tree: DyadicTree) -> tuple[np.ndarray, np.ndarray]:
             ((c_q - c_p) * (c_b - c_q)).sum(axis=1) + ((w_q - w_p) * (w_b - w_q)).sum(axis=1) / 12.0
         )
     return sq, cross
-
-
-@dataclass(frozen=True)
-class AuditRow:
-    level: int
-    scale: float  # L_k
-    mean_sq: float  # E int |S_k - id|^2 d(uniform), mean over the ensemble
-    stderr: float
-    increment: float  # mean_sq[k] - mean_sq[k-1]
-    cross_term: float  # E int (S_(k-1) - id) . (T_k - id) o S_(k-1)
-    cross_stderr: float
-    admissible_c: float  # smallest C satisfying the one-step recursion bound
-
-
-@dataclass(frozen=True)
-class RecursionAudit:
-    n: int
-    dim: int
-    side: float
-    trials: int
-    rows: list
-    admissible_c: float  # max over levels
-
-
-def recursion_audit(
-    n: int,
-    dim: int,
-    side: float = 1.0,
-    trials: int = 100,
-    master_seed: int = 0,
-) -> RecursionAudit:
-    """Per-level costs of the composed map over an ensemble of clouds.
-
-    Each cloud's terms are exact (`level_costs_exact`); the error bars are the
-    spread over the ensemble. For each level reports E int |S_k - id|^2 against
-    the uniform measure, the increment over the previous level, the mixed cross
-    term, and the smallest constant C that makes the one-step recursion
-    E_k <= C (L_k/r)^(2-d) r^2 + (1 + C (r/L_k)^d) E_(k-1) hold.
-    """
-    if trials < 2:
-        raise ValueError("audit needs at least 2 trials")
-    k_star = stopping_level(n, dim)
-    terms = np.array([
-        level_costs_exact(build_tree(sample_uniform(n, side, dim, substream_seed(master_seed, trial, 0))))
-        for trial in range(trials)
-    ])
-    sq_sums, cross_sums = terms[:, 0], terms[:, 1]
-    r = side * n ** (-1.0 / dim)
-    means = sq_sums.mean(axis=0)
-    errs = sq_sums.std(axis=0, ddof=1) / np.sqrt(trials)
-    cross_means = cross_sums.mean(axis=0)
-    cross_errs = cross_sums.std(axis=0, ddof=1) / np.sqrt(trials)
-
-    rows = []
-    worst_c = 0.0
-    for k in range(k_star + 1):
-        if k == 0:
-            rows.append(AuditRow(0, level_scale(0, dim, side), means[0], errs[0], 0.0, 0.0, 0.0, 0.0))
-            continue
-        lk = level_scale(k, dim, side)
-        a_k = (lk / r) ** (2 - dim) * r**2
-        b_k = (r / lk) ** dim
-        increment = means[k] - means[k - 1]
-        c_k = max(0.0, increment / (a_k + b_k * means[k - 1]))
-        worst_c = max(worst_c, c_k)
-        rows.append(
-            AuditRow(k, lk, means[k], errs[k], increment, cross_means[k], cross_errs[k], c_k)
-        )
-    return RecursionAudit(n=n, dim=dim, side=side, trials=trials, rows=rows, admissible_c=worst_c)

@@ -16,9 +16,9 @@ import numpy as np
 from . import assignment as asg
 from . import dual_potential as dp
 from . import dyadic_transport as dy
-from .binomial import BoxCount
+from .binomial import BoxCount, count_in_box
 from .geometry import Box, PointCloud, sample_uniform, substream_seed
-from .stats import EnsembleConfig, ScalingFit, fit_scaling, run_ensemble
+from .stats import EnsembleConfig, ScalingFit, fit_scaling, map_trials, run_ensemble, scaling_shape, trial_seeds
 
 
 @dataclass(frozen=True)
@@ -55,8 +55,6 @@ def slab_box(cfg: BoxCountConfig) -> Box:
 
 
 def box_count(cfg: BoxCountConfig, seed: int) -> int:
-    from .binomial import count_in_box
-
     cloud = sample_uniform(cfg.n, cfg.side, cfg.dim, seed)
     return count_in_box(cloud, slab_box(cfg)).n_q
 
@@ -129,6 +127,40 @@ def lower_bound_row(
 
 
 # ---------------------------------------------------------------------------
+# Sandwich rows: dual lower bound <= exact optimum <= coupling upper bound.
+
+
+@dataclass(frozen=True)
+class SandwichRow:
+    seed: int
+    certified_lower_bound: float
+    optimal_cost: float
+    coupling_cost: float
+    lb_over_opt: float
+    ub_over_opt: float
+
+
+def sandwich_row(cfg: PairConfig, seed: int) -> SandwichRow:
+    """Both bounds of one instance around its optimum, each computed once.
+
+    The pair is sampled once, each cloud's map built once, the potential taken
+    from the x-map's own tree and the optimum solved once for both ratios."""
+    x, y = sample_pair(cfg, seed)
+    t = dy.build_map(x)
+    bound = dp.dual_lower_bound(x, y, dp.hierarchical_potential(t.tree))
+    coupling = dy.coupling_cost_exact(t, dy.build_map(y))
+    optimal = asg.optimal_cost(x, y)
+    return SandwichRow(
+        seed=seed,
+        certified_lower_bound=bound,
+        optimal_cost=optimal,
+        coupling_cost=coupling,
+        lb_over_opt=bound / optimal if optimal else 0.0,
+        ub_over_opt=coupling / optimal,
+    )
+
+
+# ---------------------------------------------------------------------------
 # Scaling experiments.
 
 
@@ -155,8 +187,6 @@ def scaling_experiment(
 
     The trials of each N run on `workers` processes (None: every CPU this
     process may run on); the results do not depend on the count."""
-    from .stats import scaling_shape
-
     if len(trials) != len(n_values):
         raise ValueError("trials list must match n list")
     results = []
@@ -180,3 +210,81 @@ def scaling_experiment(
         )
     fit = fit_scaling([(res.n, res.mean) for res in results], dim, side=side)
     return results, fit
+
+
+# ---------------------------------------------------------------------------
+# Per-level cost recursion audit of the hierarchical map.
+
+
+@dataclass(frozen=True)
+class AuditRow:
+    level: int
+    scale: float  # L_k
+    mean_sq: float  # E int |S_k - id|^2 d(uniform), mean over the ensemble
+    stderr: float
+    increment: float  # mean_sq[k] - mean_sq[k-1]
+    cross_term: float  # E int (S_(k-1) - id) . (T_k - id) o S_(k-1)
+    cross_stderr: float
+    admissible_c: float  # smallest C satisfying the one-step recursion bound
+
+
+@dataclass(frozen=True)
+class RecursionAudit:
+    n: int
+    dim: int
+    side: float
+    trials: int
+    rows: list
+    admissible_c: float  # max over levels
+
+
+def level_terms(cfg: PairConfig, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """`level_costs_exact` of one fresh cloud of cfg.n points."""
+    return dy.level_costs_exact(dy.build_tree(sample_uniform(cfg.n, cfg.side, cfg.dim, seed)))
+
+
+def recursion_audit(
+    n: int,
+    dim: int,
+    side: float = 1.0,
+    trials: int = 100,
+    master_seed: int = 0,
+    workers: int | None = None,
+) -> RecursionAudit:
+    """Per-level costs of the composed map over an ensemble of clouds.
+
+    Each cloud's terms are exact (`level_costs_exact`); the error bars are the
+    spread over the ensemble. For each level reports E int |S_k - id|^2 against
+    the uniform measure, the increment over the previous level, the mixed cross
+    term, and the smallest constant C that makes the one-step recursion
+    E_k <= C (L_k/r)^(2-d) r^2 + (1 + C (r/L_k)^d) E_(k-1) hold. The clouds
+    run on `workers` processes; the audit does not depend on the count.
+    """
+    if trials < 2:
+        raise ValueError("audit needs at least 2 trials")
+    k_star = dy.stopping_level(n, dim)
+    cfg = PairConfig(n=n, dim=dim, side=side)
+    terms = np.array(list(map_trials(partial(level_terms, cfg), trial_seeds(master_seed, trials), workers)))
+    sq_sums, cross_sums = terms[:, 0], terms[:, 1]
+    r = side * n ** (-1.0 / dim)
+    means = sq_sums.mean(axis=0)
+    errs = sq_sums.std(axis=0, ddof=1) / np.sqrt(trials)
+    cross_means = cross_sums.mean(axis=0)
+    cross_errs = cross_sums.std(axis=0, ddof=1) / np.sqrt(trials)
+
+    rows = []
+    worst_c = 0.0
+    for k in range(k_star + 1):
+        if k == 0:
+            rows.append(AuditRow(0, dy.level_scale(0, dim, side), means[0], errs[0], 0.0, 0.0, 0.0, 0.0))
+            continue
+        lk = dy.level_scale(k, dim, side)
+        a_k = (lk / r) ** (2 - dim) * r**2
+        b_k = (r / lk) ** dim
+        increment = means[k] - means[k - 1]
+        c_k = max(0.0, increment / (a_k + b_k * means[k - 1]))
+        worst_c = max(worst_c, c_k)
+        rows.append(
+            AuditRow(k, lk, means[k], errs[k], increment, cross_means[k], cross_errs[k], c_k)
+        )
+    return RecursionAudit(n=n, dim=dim, side=side, trials=trials, rows=rows, admissible_c=worst_c)

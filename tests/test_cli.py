@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -82,6 +84,14 @@ def test_unknown_flag_exits_2(capsys):
         ["sample", "--n", "4", "--seed", "-1"],
         ["sample", "--n", "4", "--seed", str(2**64)],
         ["sample", "--n", "4", "--out", "."],
+        ["match", "--n", "4", "--seed", "-1"],
+        ["recursion-audit", "--trials", "1"],
+        ["recursion-audit", "--n", "0"],
+        ["recursion-audit", "--dim", "0"],
+        ["recursion-audit", "--probes", "10"],
+        ["sandwich", "--n", "0"],
+        ["sandwich", "--dim", "0"],
+        ["sandwich", "--seeds", "0"],
     ],
 )
 def test_bad_configuration_exits_2_before_any_work(capsys, monkeypatch, argv):
@@ -119,7 +129,7 @@ def _forbid_work(monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("a bad configuration reached the experiment")
 
-    for name in ("sample_pair", "scaling_experiment", "box_counts_ensemble"):
+    for name in ("sample_pair", "scaling_experiment", "box_counts_ensemble", "recursion_audit"):
         monkeypatch.setattr(cli.xp, name, no_work)
     monkeypatch.setattr(cli, "map_trials", no_work)
 
@@ -165,6 +175,8 @@ def test_scaling_uses_config_file_for_unset_flags(tmp_path, capsys):
         ("scaling", "--dim", "1", "--n", "4,8,16", "--trials", "25", "--seed", "13"),
         ("upper-bound", "--n", "16", "--seeds", "3", "--seed", "2"),
         ("lower-bound", "--n", "16", "--seeds", "3", "--seed", "2"),
+        ("sandwich", "--n", "16", "--seeds", "3", "--seed", "2"),
+        ("recursion-audit", "--n", "6", "--dim", "1", "--trials", "3", "--seed", "2"),  # k* = 2: 3 levels
         ("lemma-check", "--n", "200", "--theta", "0.125,0.25,0.5", "--trials", "50", "--seed", "4"),
     ],
     ids=lambda argv: argv[0],
@@ -221,20 +233,28 @@ def test_options_do_not_leak_across_subcommands(capsys, monkeypatch, argv):
     assert "unrecognized arguments" in err
 
 
-@pytest.mark.parametrize("subcommand", ["sample", "match", "upper-bound", "lower-bound", "scaling", "lemma-check"])
+@pytest.mark.parametrize("subcommand", cli._COMMANDS)
 def test_help_exits_0(capsys, subcommand):
     code, out, _ = run_cli(capsys, subcommand, "--help")
     assert code == 0
     assert "--config" in out
 
 
-@pytest.mark.parametrize("subcommand", ["upper-bound", "lower-bound"])
-def test_outputs_do_not_depend_on_worker_count(tmp_path, capsys, subcommand):
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("upper-bound", "--n", "64", "--dim", "2", "--seeds", "6"),
+        ("lower-bound", "--n", "64", "--dim", "2", "--seeds", "6"),
+        ("sandwich", "--n", "64", "--dim", "2", "--seeds", "6"),
+        ("recursion-audit", "--n", "64", "--dim", "2", "--trials", "6"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_outputs_do_not_depend_on_worker_count(tmp_path, capsys, argv):
     runs = []
     for workers in ("1", "2"):
         path = tmp_path / f"w{workers}.csv"
-        argv = [subcommand, "--n", "64", "--dim", "2", "--seeds", "6", "--workers", workers, "--out", str(path)]
-        code, out, _ = run_cli(capsys, *argv)
+        code, out, _ = run_cli(capsys, *argv, "--workers", workers, "--out", str(path))
         assert code == 0
         payload = json.loads(out)
         assert payload["config"]["workers"] == int(workers)
@@ -318,6 +338,71 @@ def test_bad_seed_env_var_exits_2_naming_it_before_any_work(capsys, monkeypatch,
 def test_scaling_experiment_needs_one_trial_count_per_n():
     with pytest.raises(ValueError, match="trials list must match n list"):
         cli.xp.scaling_experiment([4, 8, 16], [2, 2], dim=1, workers=1)
+
+
+def test_sandwich_smoke(tmp_path, capsys):
+    path = tmp_path / "sandwich.csv"
+    code, out, _ = run_cli(capsys, "sandwich", "--dim", "2", "--n", "16", "--seeds", "3", "--out", str(path))
+    assert code == 0
+    lines = path.read_text().strip().splitlines()
+    assert lines[0] == "seed,certified_lower_bound,optimal_cost,coupling_cost,lb_over_opt,ub_over_opt"
+    assert len(lines) == 4
+    payload = json.loads(out)
+    assert payload["fit"]["violations"] == 0
+    for row in payload["results"]:
+        assert row["certified_lower_bound"] <= row["optimal_cost"] <= row["coupling_cost"]
+        assert row["ub_over_opt"] == row["coupling_cost"] / row["optimal_cost"]
+
+
+def test_sandwich_d1_tight_upper_bound_is_not_a_violation(capsys):
+    # in d = 1 the coupling is the monotone optimum, equal to it up to rounding
+    code, out, _ = run_cli(capsys, "sandwich", "--dim", "1", "--n", "64", "--seeds", "20")
+    assert code == 0
+    assert json.loads(out)["fit"] == {"violations": 0, "upper_tight": 20}
+
+
+def violate_on_third_instance(cfg, seed):
+    # a lower bound above the optimum on one seed; forked children inherit the patch
+    lower = 2.0 if seed == FAILING_SEED else 0.5
+    return cli.xp.SandwichRow(seed, lower, 1.0, 1.5, lower, 1.5)
+
+
+def test_sandwich_violation_exits_1_after_writing_csv_and_summary(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli.xp, "sandwich_row", violate_on_third_instance)
+    path = tmp_path / "sandwich.csv"
+    code, out, err = run_cli(capsys, "sandwich", "--n", "16", "--seeds", "4", "--seed", "5", "--out", str(path))
+    assert code == 1
+    assert len(path.read_text().strip().splitlines()) == 5
+    assert json.loads(out)["fit"] == {"violations": 1, "upper_tight": 0}
+    assert str(FAILING_SEED) in err
+
+
+def test_recursion_audit_smoke(tmp_path, capsys):
+    path = tmp_path / "audit.csv"
+    code, out, _ = run_cli(capsys, "recursion-audit", "--n", "16", "--dim", "1", "--trials", "3", "--out", str(path))
+    assert code == 0
+    lines = path.read_text().strip().splitlines()
+    assert lines[0] == "level,scale,mean_sq,stderr,increment,cross_term,cross_stderr,admissible_c"
+    payload = json.loads(out)
+    assert [row["level"] for row in payload["results"]] == list(range(5))  # k* = 4 for N = 16 in d = 1
+    assert len(lines) == 6
+    assert payload["fit"]["admissible_c"] == max(row["admissible_c"] for row in payload["results"])
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_cli_lines_parse():
+    # every `pointmatch ...` line of a README code block must parse against the option tables
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", README.read_text(), flags=re.M | re.S)
+    lines = [line for block in blocks for line in block.splitlines() if line.startswith("pointmatch ")]
+    parser = cli.build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line, comments=True)[1:])
+        except SystemExit:
+            pytest.fail(f"README line does not parse: {line}")
+    assert {line.split()[1] for line in lines} == set(cli._COMMANDS)
 
 
 def test_upper_bound_csv_schema(tmp_path, capsys):
