@@ -8,14 +8,16 @@ is rounded to a permutation by the assignment solver restricted to the
 coupling's support (Birkhoff-von Neumann: never above the coupling's cost).
 All costs carry the 1/N normalization.
 
-`optimal_cost` warm-starts the assignment solver with the linearised dual.
-The optimal Kantorovich potential of the quadratic cost is close to 2 phi,
-where -Lap phi = mu_x - mu_y with Neumann conditions on the cube
+`optimal_with_dual` warm-starts the assignment solver with the linearised
+dual. The optimal Kantorovich potential of the quadratic cost is close to
+2 phi, where -Lap phi = mu_x - mu_y with Neumann conditions on the cube
 (`poisson_dual`). Subtracting a row or column constant leaves the optimal
 permutation unchanged, so the cost matrix is reduced in place by that
 potential and then by its column and row minima. The solver's optimal edges
-then sit near 0 and it finishes several times sooner. The potential lives
-here rather than in `dual_potential`, which imports this module through
+then sit near 0 and it finishes several times sooner. The three subtracted
+vectors are a Kantorovich dual pair, so the sum of their means, less a proven
+rounding allowance, is a certified lower bound on the optimum. The potential
+lives here rather than in `dual_potential`, which imports this module through
 `dyadic_transport`.
 """
 
@@ -186,30 +188,107 @@ def poisson_dual(x: PointCloud, y: PointCloud) -> np.ndarray | None:
     return 2.0 * idctn(hat, norm="ortho", overwrite_x=True).ravel()[cell_x]
 
 
-def optimal_cost(x: PointCloud, y: PointCloud) -> float:
-    """Exact matching cost: the monotone matching in d = 1, the assignment solver otherwise.
+def staircase_dual(x: PointCloud, y: PointCloud) -> tuple[np.ndarray, np.ndarray]:
+    """Kantorovich potentials (u, v) of the monotone matching in d = 1, on the x- and y-points.
 
-    The monotone (sorted) matching is optimal for the squared-distance cost in
-    d = 1 and is checked against brute force in the test suite. In d >= 2 the
-    cost matrix is reduced in place before the solve: by the Poisson dual
-    f (`poisson_dual`) along rows, then by its column minima, then by its row
-    minima. Each step subtracts a row or column constant, so the optimal
-    permutation stays, and the solver finds it several times sooner. f is
-    computed before the matrix exists, so the matrix is the only N x N array
-    alive at any time. Without a potential the matrix is solved unreduced.
+    With both clouds sorted, u_i + v_i = C_ii and u_i + v_(i+1) = C_(i,i+1): v
+    climbs from v_1 = 0 by the steps C_(i,i+1) - C_ii, and u_i = C_ii - v_i.
+    The cost (x - y)^2 is Monge (C_ij + C_kl <= C_il + C_kj for i < k, j < l),
+    so the steps telescope to u_i + v_j <= C_ij for every pair, and
+    sum u + sum v = sum C_ii is the optimum. No cost matrix is built.
+    """
+    _check_pair(x, y)
+    if x.dim != 1:
+        raise ValueError("the staircase dual applies to d = 1 only")
+    ix = np.argsort(x.points[:, 0], kind="stable")
+    iy = np.argsort(y.points[:, 0], kind="stable")
+    xs, ys = x.points[ix, 0], y.points[iy, 0]
+    diag = (xs - ys) ** 2
+    steps = np.zeros(x.n)
+    np.cumsum((xs[:-1] - ys[1:]) ** 2 - diag[:-1], out=steps[1:])
+    u, v = np.empty(x.n), np.empty(x.n)
+    u[ix] = diag - steps
+    v[iy] = steps
+    return u, v
+
+
+def _certified_bound(x: PointCloud, terms: list) -> float:
+    """max(0, (sum of every entry of terms) / N - (4 N + d + 8) eps M); see `optimal_with_dual`."""
+    eps = np.finfo(np.float64).eps
+    scale = x.dim * x.side**2 * (1.0 + x.dim * eps) + sum(float(np.abs(t).max()) for t in terms)
+    value = math.fsum(np.concatenate(terms)) / x.n
+    return max(0.0, value - (4 * x.n + x.dim + 8) * eps * scale)
+
+
+def optimal_with_dual(x: PointCloud, y: PointCloud) -> tuple[float, float]:
+    """The exact matching cost and a certified lower bound on it, from one solve.
+
+    d = 1: the monotone matching, optimal for the squared-distance cost and
+    checked against brute force in the test suite, with its staircase dual
+    (`staircase_dual`) u on the x-points and v on the y-points.
+
+    d >= 2: the assignment solver on a cost matrix reduced in place before the
+    solve: by the Poisson dual f (`poisson_dual`; f = 0 where it returns None)
+    along rows, then by its column minima g, then by its row minima h. Each
+    step subtracts a row or column constant, so the optimal permutation stays,
+    and the solver finds it several times sooner. f is computed before the
+    matrix exists, so the matrix is the only N x N array alive at any time.
     The solver's own cost would read reduced entries, so the cost comes from
-    the points, entry by entry as `cdist` computes it.
+    the points, entry by entry as `cdist` computes it. The reduction is the
+    c-transform pair of f: in exact arithmetic f_n + g_m + h_n <= C_nm.
+
+    The lower bound is max(0, T - a). T = (sum f + sum g + sum h) / N
+    (d = 1: (sum u + sum v) / N), summed by `math.fsum` and divided once. The
+    allowance is a = (4 N + d + 8) eps M, where eps is the float64 epsilon,
+    M = D + max|f| + max|g| + max|h| (d = 1: D + max|u| + max|v|) and
+    D = d L^2 (1 + d eps). The bound is at most the exact optimum of the
+    points as given and at most the returned cost. The allowance reads only
+    O(N) values: no pass over the matrix. Derivation,
+    with u_r = eps / 2, N eps <= 1/4 and every point in [0, L]^d:
+    - Every entry, exact (C) or as `cdist` rounds it (C'), lies in [0, D],
+      and |C' - C| <= 1.01 (d + 1) u_r D: d + 1 roundings (difference,
+      square, d - 1 additions).
+    - d >= 2, per entry: e = fl(C' - f) = C' - f + r1, |r1| <= u_r (D + |f|);
+      fl(e - g) = e - g + r2, |r2| <= u_r (|e| + |g|); h_n is at most every
+      fl(e - g) of its row, and g, h are exact minima. So f + g + h <= C' +
+      1.01 eps M <= C + (0.51 d + 2.1) eps M.
+    - d = 1, per step k of the sorted staircase: u_k + v_k misses C_kk by the
+      rounding of u_k and of C'_kk, u_k + v_(k+1) misses C_(k,k+1) by those
+      plus the roundings of the step and of the cumulative sum, in all
+      u_r (2 max|u| + max|v| + 5.02 D) <= 2.51 eps M. The pair (i, j)
+      telescopes over at most N steps under the Monge inequality, so
+      u_i + v_j <= C_ij + 2.51 N eps M <= C'_ij + (2.51 N + 1.01) eps M.
+    - Summed along any permutation, a per-entry bound gives weak duality:
+      the exact T is at most the permutation's mean entry plus that bound,
+      for the exact optimum's permutation and for the returned one alike.
+    - The returned cost, a float sum of N entries C' in [0, D] divided by N,
+      is at least (1 - N eps) times their exact mean, so at most
+      1.01 N eps M below it.
+    - fsum is correctly rounded and the division rounds once, so the float T
+      is within 1.01 eps M of the exact T; subtracting a rounds once more,
+      by at most 1.1 eps M.
+    These add up to at most (3.52 N + 0.51 d + 5.2) eps M, below a.
     """
     if x.dim == 1:
-        return monotone_matching_1d(x, y).cost
+        u, v = staircase_dual(x, y)
+        return monotone_matching_1d(x, y).cost, _certified_bound(x, [u, v])
     f = poisson_dual(x, y)
     c = cost_matrix(x, y)
-    if f is not None:
-        e = c.entries
+    e = c.entries
+    if f is None:
+        f = np.zeros(x.n)
+    else:
         e -= f[:, None]
-        e -= e.min(axis=0)
-        e -= e.min(axis=1)[:, None]
-    return pair_cost(x, y, match_solver(c).perm)
+    g = e.min(axis=0)
+    e -= g
+    h = e.min(axis=1)
+    e -= h[:, None]
+    return pair_cost(x, y, match_solver(c).perm), _certified_bound(x, [f, g, h])
+
+
+def optimal_cost(x: PointCloud, y: PointCloud) -> float:
+    """Exact matching cost: the first value of `optimal_with_dual`."""
+    return optimal_with_dual(x, y)[0]
 
 
 def match_lp(c: CostMatrix) -> TransportPlan:

@@ -46,7 +46,6 @@ class ExperimentConfig:
     master_seed: int
     workers: int
     thetas: tuple = ()
-    grid_divisor: int = 8
     c_bound: float = 10.0
     out: str | None = None
 
@@ -60,7 +59,6 @@ class ExperimentConfig:
             (all(t >= min_trials for t in self.trials),
              f"{self.subcommand} needs at least {min_trials} trial(s) per run, got {list(self.trials)}"),
             (self.workers >= 1, f"--workers must be >= 1, got {self.workers}"),
-            (self.grid_divisor >= 1, f"--grid-divisor must be >= 1, got {self.grid_divisor}"),
             (all(0.0 <= t <= 1.0 for t in self.thetas), f"every --theta must lie in [0, 1], got {list(self.thetas)}"),
             (math.isfinite(self.c_bound) and self.c_bound > 0, f"--c-bound must be finite and > 0, got {self.c_bound}"),
             (self.master_seed >= 0, f"--seed must be >= 0, got {self.master_seed}"),
@@ -87,7 +85,7 @@ def _env_seed() -> int:
 _MATCH_SOLVERS = {"brute": asg.match_bruteforce, "solver": asg.match_solver, "lp": asg.match_lp}
 
 # Each subcommand's options, name -> default. The name gives the flag
-# (grid_divisor -> --grid-divisor) and the default its parse type: int, float,
+# (c_bound -> --c-bound) and the default its parse type: int, float,
 # str, None for a path, a tuple for a comma-separated list. A callable default
 # is an int computed only when neither the flag nor --config gives the option.
 _CLOUD = {"dim": 2, "side": 1.0, "seed": _env_seed}
@@ -97,7 +95,7 @@ OPTIONS = {
     "sample": {"n": 100, **_CLOUD, "out": None},
     "match": {"n": 10, **_CLOUD, "method": "solver"},
     "upper-bound": _BOUND,
-    "lower-bound": {**_BOUND, "grid_divisor": 8},
+    "lower-bound": _BOUND,
     "sandwich": _BOUND,
     "scaling": {"n": (64, 256, 1024), "trials": (200,), **_RUN, "out": None},
     "recursion-audit": {"n": 1024, "trials": 100, **_RUN, "out": None},
@@ -113,7 +111,6 @@ HELP = {
     "trials": "trials per run (scaling: a comma-separated list, one per N; a single value broadcasts)",
     "theta": "comma-separated volume fractions",
     "method": "exact solver: " + ", ".join(_MATCH_SOLVERS),
-    "grid_divisor": "sup-gradient grid spacing divisor",
     "c_bound": "constant in the concentration bounds",
     "out": "CSV path (sample: default stdout)",
     "json": "JSON summary path (default stdout)",
@@ -261,10 +258,10 @@ def cmd_match(opts: dict) -> int:
     return 0
 
 
-def _instances(opts: dict, row, **kwargs):
+def _instances(opts: dict, row):
     """row(cfg, seed) of each of the run's --seeds instances, in seed order, on --workers processes."""
     cfg = xp.PairConfig(n=opts["n"], dim=opts["dim"], side=opts["side"])
-    return map_trials(partial(row, cfg, **kwargs), trial_seeds(opts["seed"], opts["seeds"]), opts["workers"])
+    return map_trials(partial(row, cfg), trial_seeds(opts["seed"], opts["seeds"]), opts["workers"])
 
 
 def cmd_upper_bound(opts: dict) -> int:
@@ -276,26 +273,16 @@ def cmd_upper_bound(opts: dict) -> int:
 
 
 def cmd_lower_bound(opts: dict) -> int:
-    """dual lower bounds (gradient supremum estimated on a grid) vs the optimum, gain = mean of the potential over the x-cloud (its spatial mean is exactly 0); CSV rows (seed, gain, sup_grad_sq, certified_lower_bound, optimal_cost)"""
+    """certified dual lower bound (the c-transform pair of the exact solve's warm start) vs the optimum, gain = mean of the paper's potential over the x-cloud (its spatial mean is exactly 0); CSV rows (seed, gain, certified_lower_bound, optimal_cost, lb_over_opt)"""
     config = _config("lower-bound", opts)
     t0 = time.perf_counter()
-    rows = []
-    grid_sum = 0.0  # per-grid-point sum of |grad Phi|^2, added in seed order as the grids arrive
-    for row, grid in _instances(opts, xp.lower_bound_row, spacing_divisor=opts["grid_divisor"]):
-        rows.append(row)
-        grid_sum += grid
-    grid_mean = grid_sum / opts["seeds"]
-    # Both orders of sup and expectation, reported without asserting their ratio.
-    fit = {
-        "mean_sup_grad_sq": float(np.mean([r.sup_grad_sq for r in rows])),
-        "sup_mean_grad_sq": float(grid_mean.max()),
-    }
-    header = ["seed", "gain", "sup_grad_sq", "certified_lower_bound", "optimal_cost"]
-    return _emit_rows(opts, config, header, rows, t0, fit)
+    rows = list(_instances(opts, xp.lower_bound_row))
+    header = ["seed", "gain", "certified_lower_bound", "optimal_cost", "lb_over_opt"]
+    return _emit_rows(opts, config, header, rows, t0)
 
 
 def cmd_sandwich(opts: dict) -> int:
-    """per-instance sandwich dual lower bound <= optimum <= coupling cost, each optimum solved once; CSV rows (seed, certified_lower_bound, optimal_cost, coupling_cost, lb_over_opt, ub_over_opt); exits 1, after writing both, if an instance breaks it"""
+    """per-instance sandwich certified lower bound <= optimum <= coupling cost, the optimum and its lower bound from one solve; CSV rows (seed, certified_lower_bound, optimal_cost, coupling_cost, lb_over_opt, ub_over_opt); exits 1, after writing both, if an instance breaks it"""
     config = _config("sandwich", opts)
     t0 = time.perf_counter()
     rows = list(_instances(opts, xp.sandwich_row))

@@ -7,7 +7,9 @@ imbalance, and summed over levels. The resulting potential has zero spatial
 mean, vanishes with its gradient on all box boundaries, and its empirical-mean
 gap divided by its gradient supremum lower-bounds the matching cost. The
 supremum is estimated on a grid (see `INFLATION`), so the reported bound is
-only as sound as that estimate.
+only as sound as that estimate. This grid route is a library diagnostic; the
+`lower-bound` and `sandwich` subcommands report the certified bound of the
+exact solve (`assignment.optimal_with_dual`) instead.
 """
 
 from __future__ import annotations
@@ -323,7 +325,8 @@ def dual_lower_bound(
     matching distance; squaring gives a bound on the quadratic cost by
     Cauchy-Schwarz. The supremum is the inflated grid maximum (see
     `INFLATION`), so the bound holds only as far as that estimate does. A
-    nonpositive gap certifies nothing and returns 0.
+    nonpositive gap certifies nothing and returns 0. A library diagnostic:
+    the CLI's certified bound is `assignment.optimal_with_dual`'s.
     """
     return lower_bound_functional(cloud_x, cloud_y, p, spacing_divisor).lower_bound
 

@@ -225,6 +225,79 @@ def test_poisson_dual_rejects_mismatched_clouds():
         asg.poisson_dual(*(geo.sample_uniform(n, 1.0, 2, 0) for n in (16, 17)))
 
 
+# --- certified lower bound ------------------------------------------------------
+
+_EPS = np.finfo(np.float64).eps
+_CERT_N = [1, 2, 3, 4, 5, 7, 8, 12, 16, 24, 32, 48, 64, 100, 128, 256]
+
+
+def _assert_certified(x, y):
+    opt, lower = asg.optimal_with_dual(x, y)
+    assert opt == asg.optimal_cost(x, y)
+    assert 0.0 <= lower <= opt
+    return opt, lower
+
+
+@pytest.mark.parametrize("side", [1.0, 2.5])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_certified_lower_bound_never_exceeds_the_optimum(dim, side):
+    ratios = []
+    for n in _CERT_N:
+        for t in range(10):
+            x = geo.sample_uniform(n, side, dim, geo.substream_seed(37, dim, n, t, 0))
+            y = geo.sample_uniform(n, side, dim, geo.substream_seed(37, dim, n, t, 1))
+            opt, lower = _assert_certified(x, y)
+            if n >= 64:
+                ratios.append(lower / opt)
+    # the Poisson dual's c-transform is far tighter than the nearest-neighbour floor; d = 1 is exact
+    assert min(ratios) > {1: 0.999999, 2: 0.6, 3: 0.6}[dim]
+
+
+@pytest.mark.parametrize("n, dim", [(1, 1), (1, 2), (1, 3), (64, 12)])
+def test_certified_lower_bound_without_a_potential(n, dim):
+    # N = 1 and d = 12 take f = 0: the nearest-neighbour c-transform bound
+    for t in range(10):
+        x, y = _pair(n, dim, 200 + t, side=(1.0, 2.5)[t % 2])
+        opt, lower = _assert_certified(x, y)
+        assert lower > 0.0
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_certified_lower_bound_of_identical_clouds_is_zero(dim):
+    for n in (1, 17, 200):
+        x = geo.sample_uniform(n, 2.5, dim, 12 + n)
+        assert asg.optimal_with_dual(x, x) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("steps", [4, 8, 3])
+def test_certified_lower_bound_on_lattices(steps):
+    # exact ties: many optimal permutations and equal minima in the c-transform
+    for seed in range(10):
+        x, y = _lattice_pair(40 + 25 * seed, 1 + seed % 3, steps, (1.0, 2.5)[seed % 2], 300 + seed)
+        _assert_certified(x, y)
+
+
+@pytest.mark.parametrize("side", [1.0, 2.5])
+def test_staircase_dual_is_feasible_and_tight_entry_by_entry(side):
+    for n in range(1, 9):
+        for t in range(10):
+            x, y = _pair(n, 1, 400 + 10 * n + t, side=side)
+            u, v = asg.staircase_dual(x, y)
+            c = asg.cost_matrix(x, y).entries
+            # the per-entry rounding bound of the staircase, (2.51 N + 1.01) eps M
+            slack = (2.51 * n + 1.01) * _EPS * (side**2 * (1 + _EPS) + np.abs(u).max() + np.abs(v).max())
+            assert np.all(u[:, None] + v[None, :] <= c + slack)
+            perm = asg.monotone_matching_1d(x, y).perm
+            assert np.all(np.abs(u + v[perm] - c[np.arange(n), perm]) <= slack)
+            brute = asg.match_bruteforce(asg.cost_matrix(x, y)).cost
+            assert abs((u.sum() + v.sum()) / n - brute) <= slack
+
+
+def test_staircase_dual_rejects_d2():
+    with pytest.raises(ValueError, match="d = 1"):
+        asg.staircase_dual(*_pair(4, 2, 0))
+
+
 _OPTIMUM_RSS_PROBE = """
 import resource
 from pointmatch import assignment as asg, geometry as geo

@@ -64,7 +64,7 @@ def test_unknown_flag_exits_2(capsys):
         ["upper-bound", "--seeds", "0"],
         ["scaling", "--dim", "2", "--n", "1,2,3"],
         ["scaling", "--n", "0,2,3"],
-        ["lower-bound", "--grid-divisor", "0"],
+        ["lower-bound", "--dim", "0"],
         ["upper-bound", "--probes", "10"],
         ["lower-bound", "--probes", "10"],
         ["scaling", "--n", "4,8,16", "--trials", "2", "--side", "inf", "--workers", "1"],
@@ -200,18 +200,27 @@ def test_embedded_config_replays_byte_identical_csv(tmp_path, capsys, argv):
     assert len(second["results"]) == 3
 
 
-def test_old_summary_with_method_field_replays(tmp_path, capsys):
-    # summaries written before the unused config.method was dropped carry "method": ""
-    argv = ["upper-bound", "--n", "16", "--seeds", "3", "--seed", "2"]
+def _replays_with_dropped_field(tmp_path, capsys, subcommand, field, value):
+    argv = [subcommand, "--n", "16", "--seeds", "3", "--seed", "2"]
     code, out, _ = run_cli(capsys, *argv, "--out", str(tmp_path / "first.csv"))
     assert code == 0
     config = json.loads(out)["config"]
-    assert "method" not in config
+    assert field not in config
     cfg_path = tmp_path / "old.json"
-    cfg_path.write_text(json.dumps({**config, "method": ""}))
-    code, _, _ = run_cli(capsys, "upper-bound", "--config", str(cfg_path), "--out", str(tmp_path / "second.csv"))
+    cfg_path.write_text(json.dumps({**config, field: value}))
+    code, _, _ = run_cli(capsys, subcommand, "--config", str(cfg_path), "--out", str(tmp_path / "second.csv"))
     assert code == 0
     assert (tmp_path / "second.csv").read_bytes() == (tmp_path / "first.csv").read_bytes()
+
+
+def test_old_summary_with_method_field_replays(tmp_path, capsys):
+    # summaries written before the unused config.method was dropped carry "method": ""
+    _replays_with_dropped_field(tmp_path, capsys, "upper-bound", "method", "")
+
+
+def test_old_summary_with_grid_divisor_field_replays(tmp_path, capsys):
+    # lower-bound summaries written before the sup-gradient grid left the CLI carry "grid_divisor": 8
+    _replays_with_dropped_field(tmp_path, capsys, "lower-bound", "grid_divisor", 8)
 
 
 @pytest.mark.parametrize(
@@ -222,6 +231,7 @@ def test_old_summary_with_method_field_replays(tmp_path, capsys):
         ["sample", "--workers", "2"],
         ["match", "--json", "x.json"],
         ["lemma-check", "--out", "x.csv"],
+        ["lower-bound", "--grid-divisor", "0"],  # the sup-gradient grid is no longer the CLI's bound
     ],
 )
 def test_options_do_not_leak_across_subcommands(capsys, monkeypatch, argv):
@@ -259,7 +269,6 @@ def test_outputs_do_not_depend_on_worker_count(tmp_path, capsys, argv):
         payload = json.loads(out)
         assert payload["config"]["workers"] == int(workers)
         runs.append((path.read_bytes(), payload["results"], payload["fit"]))
-    # fit holds sup_mean_grad_sq for lower-bound: the per-seed grids must add up in seed order
     assert runs[0] == runs[1]
 
 
@@ -267,8 +276,8 @@ FAILING_SEED = substream_seed(5, 2)
 TEST_PID = os.getpid()
 
 
-def fail_on_third_instance(cfg, seed, **kwargs):
-    # forked children inherit the patched row function; other instances give a (row, grid) stand-in
+def fail_on_third_instance(cfg, seed):
+    # forked children inherit the patched row function; other instances give a stand-in row
     if seed == FAILING_SEED:
         raise ArithmeticError("injected")
     return seed, 0.0
@@ -284,7 +293,7 @@ def test_failing_instance_exits_1_naming_trial_and_seed(capsys, monkeypatch, sub
     assert f"trial 2 (seed {FAILING_SEED}) failed: ArithmeticError('injected')" in err
 
 
-def exit_on_third_instance(cfg, seed, **kwargs):
+def exit_on_third_instance(cfg, seed):
     # with 4 seeds and 2 workers, trial 2 is the first of the forked child's share
     if seed == FAILING_SEED and os.getpid() != TEST_PID:
         os._exit(3)
@@ -429,11 +438,12 @@ def test_lower_bound_csv_schema(tmp_path, capsys):
     )
     assert code == 0
     lines = path.read_text().strip().splitlines()
-    assert lines[0] == "seed,gain,sup_grad_sq,certified_lower_bound,optimal_cost"
+    assert lines[0] == "seed,gain,certified_lower_bound,optimal_cost,lb_over_opt"
     payload = json.loads(out)
     for row in payload["results"]:
-        assert row["certified_lower_bound"] <= row["optimal_cost"]
-    assert {"mean_sup_grad_sq", "sup_mean_grad_sq"} <= set(payload["fit"])
+        assert 0.0 < row["certified_lower_bound"] <= row["optimal_cost"]
+        assert row["lb_over_opt"] == row["certified_lower_bound"] / row["optimal_cost"]
+    assert payload["fit"] == {}  # no sup-gradient grid summary
 
 
 def test_lemma_check_report(capsys):

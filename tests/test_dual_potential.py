@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -7,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pointmatch import assignment as asg
-from pointmatch import cli
 from pointmatch import dual_potential as dp
 from pointmatch import dyadic_transport as dy
 from pointmatch import geometry as geo
@@ -302,17 +300,18 @@ def test_grid_is_bit_identical_to_pointwise_oracle(dim, n, side, divisor, level)
         assert vals.max() > 0
 
 
-def test_lower_bound_cli_is_bit_identical_through_pointwise_grid(tmp_path, capsys, monkeypatch):
-    argv = ["lower-bound", "--n", "64", "--dim", "3", "--seeds", "3", "--seed", "5"]
-    code = cli.run(argv + ["--out", str(tmp_path / "fast.csv")])
-    fast = json.loads(capsys.readouterr().out)
+def test_lower_bound_functional_is_bit_identical_through_pointwise_grid(monkeypatch):
+    pairs = []
+    for t in range(3):
+        x, pot = _potential(64, 3, geo.substream_seed(5, t, 0))
+        pairs.append((x, geo.sample_uniform(64, 1.0, 3, geo.substream_seed(5, t, 1)), pot))
+    fast = [dp.lower_bound_functional(x, y, pot) for x, y, pot in pairs]
     monkeypatch.setattr(dp, "grad_sq_on_grid", _grid_oracle)
-    code_oracle = cli.run(argv + ["--out", str(tmp_path / "oracle.csv")])
-    oracle = json.loads(capsys.readouterr().out)
-    assert code == code_oracle == 0
-    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
-    assert fast["results"] == oracle["results"]
-    assert fast["fit"] == oracle["fit"]
+    oracle = [dp.lower_bound_functional(x, y, pot) for x, y, pot in pairs]
+    for a, b in zip(fast, oracle):
+        assert (a.gain, a.sup_grad_sq, a.gap, a.lower_bound) == (b.gain, b.sup_grad_sq, b.gap, b.lower_bound)
+        assert np.array_equal(a.grid_grad_sq, b.grid_grad_sq)
+        assert a.lower_bound > 0
 
 
 def test_one_batch_gain_and_gap_equal_separate_batches():
