@@ -265,11 +265,12 @@ def _instances(opts: dict, row):
 
 
 def cmd_upper_bound(opts: dict) -> int:
-    """exact hierarchical map and coupling costs, from preimage boxes, vs the optimum; CSV rows (seed, k_star, map_cost, coupling_cost, optimal_cost)"""
+    """exact hierarchical map and coupling costs, from preimage boxes, vs the optimum; CSV rows (seed, k_star, map_cost, coupling_cost, optimal_cost, ub_over_opt)"""
     config = _config("upper-bound", opts)
     t0 = time.perf_counter()
     rows = list(_instances(opts, xp.upper_bound_row))
-    return _emit_rows(opts, config, ["seed", "k_star", "map_cost", "coupling_cost", "optimal_cost"], rows, t0)
+    header = ["seed", "k_star", "map_cost", "coupling_cost", "optimal_cost", "ub_over_opt"]
+    return _emit_rows(opts, config, header, rows, t0)
 
 
 def cmd_lower_bound(opts: dict) -> int:

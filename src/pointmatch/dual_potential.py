@@ -164,16 +164,87 @@ def _level_walk(p: DualPotential, xs: list):
         yield value, grad
 
 
+def _level_stack(p: DualPotential, xs: np.ndarray):
+    """Per-level factors of the potential at a batch of points, levels stacked on axis 0.
+
+    Row k - 1 belongs to the level-k term. Slot 0 of each row is the level's
+    split coordinate and slots 1..d-1 the other coordinates in ascending
+    order. Returns (axes, w, scale, amp): axes (K, d) the coordinate of each
+    slot; w (K, d + 1, N) each point's offset from the lower corner of its
+    level-(k-1) box over scale, and in slot d the split coordinate's minus 1,
+    so one call evaluates every bump factor; scale (K, d) L_k in slot 0 and
+    the parent box's sides in the others; amp (K, N) rho_left - 1 of the box.
+    """
+    tree = p.tree
+    d, side, levels = tree.dim, tree.side, p.level
+    x = np.ascontiguousarray(xs.T)
+    # Round r halves every coordinate once (levels r d + 1 .. r d + d, one
+    # scale). Each halving compares a point with its running lower corner,
+    # exactly as a walk level by level does, so points on faces land alike.
+    rounds = -(-levels // d)
+    lo = np.zeros((rounds + 1,) + x.shape)
+    right = np.empty((rounds,) + x.shape, dtype=bool)
+    for r in range(rounds):
+        lk = level_scale(r * d + 1, d, side)
+        np.greater_equal(x, lo[r] + lk, out=right[r])
+        lo[r + 1] = lo[r] + right[r] * lk
+
+    parent = np.arange(levels)  # the level of each row's parent boxes
+    split = parent % d
+    axes = (split[:, None] + np.arange(d)) % d
+    axes[:, 1:].sort(axis=1)
+    halvings = parent[:, None] // d + (axes < split[:, None])
+    scale = np.ldexp(side, -halvings)
+    scale[:, 0] /= 2.0
+    w = np.empty((levels, d + 1, x.shape[1]))
+    np.divide(x[axes] - lo[halvings, axes], scale[:, :, None], out=w[:, :d])
+    np.subtract(w[:, 0], 1.0, out=w[:, d])
+
+    # Bit k of a point's level-K path is its bit at level k; the row's parent
+    # box is the path's first k - 1 bits, offset into the tree's heap order.
+    bits = right.reshape(rounds * d, x.shape[1])[:levels].astype(np.int64)
+    path = (bits << (levels - 1 - parent)[:, None]).sum(axis=0)
+    box = (path >> (levels - parent)[:, None]) + ((1 << parent) - 1)[:, None]
+    return axes, w, scale, tree.rho_heap[box] - 1.0
+
+
+def _level_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum of per-level terms in level order, from zero, as a level walk adds them."""
+    total = np.zeros(terms.shape[1:])
+    for term in terms:
+        total += term
+    return total
+
+
+def potential_values(p: DualPotential, xs: np.ndarray) -> np.ndarray:
+    """Values of the potential at a batch of points, all levels at once.
+
+    Bit-identical to the values of `potential_eval_batch`; no derivative of
+    the bump is evaluated. Like it, holds a few arrays of p.level x (d + 1)
+    floats per point at once.
+    """
+    _, w, scale, amp = _level_stack(p, np.atleast_2d(np.asarray(xs, dtype=np.float64)))
+    zvals = _zeta_val(w)
+    scaled = (scale[:, :1] ** 2 * amp) * (zvals[:, 0] - zvals[:, -1])
+    return _level_sum(_times_product(scaled, list(zvals[:, 1:-1].swapaxes(0, 1))))
+
+
 def potential_eval_batch(p: DualPotential, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Values and gradients of the potential at a batch of points."""
+    """Values and gradients of the potential at a batch of points, all levels at once."""
     xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
-    values = np.zeros(xs.shape[0])
-    grads = np.zeros_like(xs)
-    for v, g in _level_walk(p, list(xs.T)):
-        values += v
-        for i, gi in enumerate(g):
-            grads[:, i] += gi
-    return values, grads
+    axes, w, scale, amp = _level_stack(p, xs)
+    zvals, zders = _zeta_val(w), _zeta_d1(w)
+    lk = scale[:, :1]
+    scaled = (lk**2 * amp) * (zvals[:, 0] - zvals[:, -1])
+    others = list(zvals[:, 1:-1].swapaxes(0, 1))
+    grads = np.empty_like(w[:, :-1])
+    grads[:, 0] = _times_product((lk * amp) * (zders[:, 0] - zders[:, -1]), others)
+    for s in range(1, xs.shape[1]):
+        grads[:, s] = _times_product((scaled * zders[:, s]) / scale[:, s, None], others[: s - 1] + others[s:])
+    # from slot to coordinate order, then summed over levels
+    grads = grads[np.arange(axes.shape[0])[:, None], np.argsort(axes, axis=1)]
+    values = _level_sum(_times_product(scaled, others))
+    return values, np.ascontiguousarray(_level_sum(grads).T)
 
 
 def potential_eval(p: DualPotential, x: np.ndarray) -> tuple[float, np.ndarray]:
@@ -301,7 +372,7 @@ def lower_bound_functional(
     """
     _check_same_cloud(cloud_x, p)
     _check_pair(cloud_x, cloud_y)
-    values, _ = potential_eval_batch(p, np.concatenate([cloud_x.points, cloud_y.points]))
+    values = potential_values(p, np.concatenate([cloud_x.points, cloud_y.points]))
     mean_x, mean_y = float(values[: cloud_x.n].mean()), float(values[cloud_x.n :].mean())
     _, grid = grad_sq_on_grid(p, spacing_divisor)
     sup_sq = float(grid.max() * INFLATION**2)

@@ -11,6 +11,7 @@ each stopping box yields a map T whose preimages all have volume exactly L^d/N.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -100,11 +101,19 @@ class DyadicTree:
     def scale(self, level: int) -> float:
         return level_scale(level, self.dim, self.side)
 
+    @cached_property
+    def rho_heap(self) -> np.ndarray:
+        """2 * N_left / N_parent for every box above the stopping level, 1 where
+        the box is empty, in heap order: box b of level k at 2^k - 1 + b."""
+        counts = np.concatenate(self.counts)  # heap order; a box's left child at 2 j + 1
+        parents, lefts = counts[: counts.size // 2], counts[1::2]
+        rho = np.where(parents > 0, 2.0 * lefts / np.maximum(parents, 1), 1.0)
+        rho.flags.writeable = False  # computed once; rho_left hands out views of it
+        return rho
+
     def rho_left(self, level: int) -> np.ndarray:
-        """2 * N_left / N_parent for every level-(level-1) box; 1 where the parent is empty."""
-        parents = self.counts[level - 1]
-        lefts = self.counts[level][0::2]
-        return np.where(parents > 0, 2.0 * lefts / np.maximum(parents, 1), 1.0)
+        """rho_heap of every level-(level-1) box."""
+        return self.rho_heap[(1 << (level - 1)) - 1 : (1 << level) - 1]
 
 
 def box_index_of_points(points: np.ndarray, side: float, dim: int, level: int) -> np.ndarray:
@@ -415,15 +424,42 @@ def map_cost_exact(h: HierarchicalMap) -> float:
     return float(sq.mean())
 
 
-def _coupling_chunks(t: HierarchicalMap, s: HierarchicalMap):
-    """Yield (n, m, mass) of the exact coupling, about COUPLING_CHUNK_PAIRS
-    candidate point pairs at a time.
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """starts[k], starts[k] + 1, ..., starts[k] + lengths[k] - 1 for every k, concatenated."""
+    ends = np.cumsum(lengths)
+    return np.arange(ends[-1] if ends.size else 0) + np.repeat(starts - (ends - lengths), lengths)
+
+
+def _slab_pairs(na: np.ndarray, nb: np.ndarray, edges_t: np.ndarray, edges_s: np.ndarray):
+    """Candidate slab pairs of box pairs holding na and nb slabs, by merging slab edges.
+
+    Inside a stopping box the point preimages are slabs along coordinate 1,
+    so two boxes' slabs can only overlap along a staircase. edges_t and
+    edges_s hold each box pair's inner slab edges, the pairs one after
+    another, each run sorted. Merging a box pair's two runs, every merged edge
+    steps to the next slab on its side: the first pair (0, 0) and one pair
+    per edge give na + nb - 1 slab pairs (i, j) in lexicographic order,
+    among them every pair that overlaps. Returns (i, j, reps), reps being the
+    slab pairs per box pair.
+    """
+    pair = np.arange(na.size)
+    owner_t, owner_s = np.repeat(pair, na - 1), np.repeat(pair, nb - 1)
+    # edges of earlier box pairs, or of this one lying strictly below, on the other side
+    below = np.searchsorted(owner_s + 1j * edges_s, owner_t + 1j * edges_t)
+    reps = na + nb - 1
+    steps_t = np.zeros(reps.sum(), dtype=np.int64)
+    steps_t[np.arange(edges_t.size) + below + owner_t + 1] = 1
+    i = np.cumsum(steps_t) - np.repeat(np.cumsum(na - 1) - (na - 1), reps)
+    j = np.arange(steps_t.size) - np.repeat(np.cumsum(reps) - reps, reps) - i
+    return i, j, reps
+
+
+def _overlapping_boxes(t: HierarchicalMap, s: HierarchicalMap):
+    """Stopping-box pairs (a, b) whose preimages overlap, with every box's
+    preimage corners: (a, b, (lo_t, hi_t), (lo_s, hi_s)).
 
     Both trees split the same coordinate at every level, so one joint descent
-    keeps only the stopping-box pairs whose preimages overlap; every point pair
-    of those box pairs is a candidate, and a chunk takes the box pairs whose
-    first candidate falls in its window, so no box pair is split.
-    """
+    keeps only the overlapping pairs, checking the split coordinate."""
     tx, ty = t.tree, s.tree
     _check_pair(tx.cloud, ty.cloud)
     (lo_t, hi_t), (lo_s, hi_s) = _domain(tx), _domain(ty)
@@ -436,24 +472,45 @@ def _coupling_chunks(t: HierarchicalMap, s: HierarchicalMap):
         b = (2 * b[:, None] + np.array([0, 1, 0, 1])).ravel()
         keep = np.minimum(hi_t[a, c], hi_s[b, c]) > np.maximum(lo_t[a, c], lo_s[b, c])
         a, b = a[keep], b[keep]
+    return a, b, (lo_t, hi_t), (lo_s, hi_s)
 
+
+def _coupling_chunks(t: HierarchicalMap, s: HierarchicalMap):
+    """Yield (n, m, mass) of the exact coupling, about COUPLING_CHUNK_PAIRS
+    candidate point pairs at a time.
+
+    The candidates of each pair of `_overlapping_boxes` are the na + nb - 1
+    slab pairs of `_slab_pairs`, and a chunk takes the box pairs whose first
+    candidate falls in its window, so no box pair is split.
+    """
+    tx, ty = t.tree, s.tree
+    a, b, (lo_t, hi_t), (lo_s, hi_s) = _overlapping_boxes(t, s)
+    # Slabs differ from their box along coordinate 1 only: the box pair's
+    # overlap gives the other sides. A kept box pair holds points on both
+    # sides, since an empty box's preimage has no width along the coordinate
+    # that emptied it.
     (lo_r, hi_r), (lo_q, hi_q) = _point_preimages(t, lo_t, hi_t), _point_preimages(s, lo_s, hi_s)
+    lower_t, upper_t = lo_r[t.cell_order, 0], hi_r[t.cell_order, 0]
+    lower_s, upper_s = lo_q[s.cell_order, 0], hi_q[s.cell_order, 0]
+    across = np.minimum(hi_t[a, 1:], hi_s[b, 1:]) - np.maximum(lo_t[a, 1:], lo_s[b, 1:])
     na, nb = tx.counts[tx.k_star][a], ty.counts[ty.k_star][b]
-    reps = na * nb
+    off_t, off_s = t.box_offsets[a], s.box_offsets[b]
+    reps = na + nb - 1
     starts = np.cumsum(reps) - reps
     windows = np.arange(0, starts[-1] + 1, COUPLING_CHUNK_PAIRS)
     edges = np.unique(np.append(np.searchsorted(starts, windows), a.size))
     volume = tx.side**tx.dim
     for first, last in zip(edges[:-1], edges[1:]):
-        r, nb_c = reps[first:last], nb[first:last]
-        pair = np.repeat(np.arange(r.size), r)
-        local = np.arange(r.sum()) - np.repeat(starts[first:last] - starts[first], r)
-        n_idx = t.cell_order[t.box_offsets[a[first:last]][pair] + local // nb_c[pair]]
-        m_idx = s.cell_order[s.box_offsets[b[first:last]][pair] + local % nb_c[pair]]
-        sides = np.minimum(hi_r[n_idx], hi_q[m_idx]) - np.maximum(lo_r[n_idx], lo_q[m_idx])
-        vol = sides.clip(min=0.0).prod(axis=1)
+        box = slice(first, last)
+        inner_t = lower_t[_ranges(off_t[box] + 1, na[box] - 1)]
+        inner_s = lower_s[_ranges(off_s[box] + 1, nb[box] - 1)]
+        i, j, r = _slab_pairs(na[box], nb[box], inner_t, inner_s)
+        at, bs = np.repeat(off_t[box], r) + i, np.repeat(off_s[box], r) + j
+        vol = (np.minimum(upper_t[at], upper_s[bs]) - np.maximum(lower_t[at], lower_s[bs])).clip(min=0.0)
+        for side in across[box].T.clip(min=0.0):
+            vol = vol * np.repeat(side, r)
         keep = vol > 0.0
-        yield n_idx[keep], m_idx[keep], vol[keep] / volume
+        yield t.cell_order[at[keep]], s.cell_order[bs[keep]], vol[keep] / volume
 
 
 def coupling_exact(t: HierarchicalMap, s: HierarchicalMap) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -76,17 +76,25 @@ class UpperBoundRow:
     map_cost: float
     coupling_cost: float
     optimal_cost: float
+    ub_over_opt: float
+
+
+def _over(bound: float, optimal: float) -> float:
+    """bound / optimal, 0 for a zero optimum (identical clouds)."""
+    return bound / optimal if optimal else 0.0
 
 
 def upper_bound_row(cfg: PairConfig, seed: int) -> UpperBoundRow:
     x, y = sample_pair(cfg, seed)
     t = dy.build_map(x)
+    coupling, optimal = dy.coupling_cost_exact(t, dy.build_map(y)), asg.optimal_cost(x, y)
     return UpperBoundRow(
         seed=seed,
         k_star=t.tree.k_star,
         map_cost=dy.map_cost_exact(t),
-        coupling_cost=dy.coupling_cost_exact(t, dy.build_map(y)),
-        optimal_cost=asg.optimal_cost(x, y),
+        coupling_cost=coupling,
+        optimal_cost=optimal,
+        ub_over_opt=_over(coupling, optimal),
     )
 
 
@@ -112,14 +120,14 @@ def lower_bound_row(cfg: PairConfig, seed: int) -> LowerBoundRow:
     from Phi to a bound (`dual_potential.lower_bound_functional`) is a library
     diagnostic, not this row's bound."""
     x, y = sample_pair(cfg, seed)
-    values, _ = dp.potential_eval_batch(dp.hierarchical_potential(dy.build_tree(x)), x.points)
+    values = dp.potential_values(dp.hierarchical_potential(dy.build_tree(x)), x.points)
     optimal, lower = asg.optimal_with_dual(x, y)
     return LowerBoundRow(
         seed=seed,
         gain=float(values.mean()),
         certified_lower_bound=lower,
         optimal_cost=optimal,
-        lb_over_opt=lower / optimal if optimal else 0.0,
+        lb_over_opt=_over(lower, optimal),
     )
 
 
@@ -150,8 +158,8 @@ def sandwich_row(cfg: PairConfig, seed: int) -> SandwichRow:
         certified_lower_bound=bound,
         optimal_cost=optimal,
         coupling_cost=coupling,
-        lb_over_opt=bound / optimal if optimal else 0.0,
-        ub_over_opt=coupling / optimal,
+        lb_over_opt=_over(bound, optimal),
+        ub_over_opt=_over(coupling, optimal),
     )
 
 

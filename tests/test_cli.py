@@ -422,12 +422,22 @@ def test_upper_bound_csv_schema(tmp_path, capsys):
     )
     assert code == 0
     lines = path.read_text().strip().splitlines()
-    assert lines[0] == "seed,k_star,map_cost,coupling_cost,optimal_cost"
+    assert lines[0] == "seed,k_star,map_cost,coupling_cost,optimal_cost,ub_over_opt"
     assert len(lines) == 3
     payload = json.loads(out)
     assert len(payload["results"]) == 2
     for row in payload["results"]:
         assert row["coupling_cost"] >= row["optimal_cost"]
+        assert row["ub_over_opt"] == row["coupling_cost"] / row["optimal_cost"]
+
+
+@pytest.mark.parametrize("row", ["upper_bound_row", "sandwich_row"])
+def test_ub_over_opt_is_zero_for_a_zero_optimum(monkeypatch, row):
+    cloud = cli.xp.sample_uniform(16, 1.0, 2, 3)
+    monkeypatch.setattr(cli.xp, "sample_pair", lambda cfg, seed: (cloud, cloud))
+    result = getattr(cli.xp, row)(cli.xp.PairConfig(n=16, dim=2), 0)
+    assert result.optimal_cost == result.coupling_cost == 0.0
+    assert result.ub_over_opt == 0.0
 
 
 def test_lower_bound_csv_schema(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pointmatch import assignment as asg
+from pointmatch import cli
 from pointmatch import dual_potential as dp
 from pointmatch import dyadic_transport as dy
 from pointmatch import geometry as geo
@@ -137,6 +139,53 @@ def test_level_terms_vanish_on_parent_box_boundaries():
             v_lo, g_lo = dp.potential_eval(below, x)
             assert v_hi - v_lo == pytest.approx(0.0, abs=1e-15)
             assert np.allclose(g_hi - g_lo, 0.0, atol=1e-12)
+
+
+def _walk_batch(pot, xs):
+    """Values and gradients of Phi by the level-by-level walk, one level's arrays at a time."""
+    xs = np.atleast_2d(np.asarray(xs, dtype=float))
+    values, grads = np.zeros(xs.shape[0]), np.zeros_like(xs)
+    for v, g in dp._level_walk(pot, list(xs.T)):
+        values += v
+        for i, gi in enumerate(g):
+            grads[:, i] += gi
+    return values, grads
+
+
+def _bits(a):
+    return a.view(np.uint64)  # compares signed zeros too
+
+
+@pytest.mark.parametrize("side", [1.0, 2.5])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+def test_stacked_evaluator_is_bit_identical_to_level_walk(dim, side):
+    rng = np.random.default_rng(dim)
+    # N = 1 and N < 2^d stop at the root (k* = 0)
+    for n in (1, 2**dim - 1, 2**dim, 64, 4096):
+        cloud, pot = _potential(n, dim, 60 + n + dim, side)
+        # the cloud, fresh points, and lattice points on the dyadic faces
+        faces = np.floor(rng.random((300, dim)) * 16) / 16 * side
+        pts = np.concatenate([cloud.points, rng.random((n, dim)) * side, faces])
+        want_values, want_grads = _walk_batch(pot, pts)
+        values, grads = dp.potential_eval_batch(pot, pts)
+        assert np.array_equal(_bits(values), _bits(want_values))
+        assert np.array_equal(_bits(grads), _bits(want_grads))
+        assert grads.flags.c_contiguous
+        assert np.array_equal(_bits(dp.potential_values(pot, pts)), _bits(want_values))
+        for level in (0, pot.tree.k_star // 2):
+            below = dp.hierarchical_potential(pot.tree, level=level)
+            assert np.array_equal(_bits(dp.potential_values(below, pts)), _bits(_walk_batch(below, pts)[0]))
+
+
+def test_lower_bound_gain_builds_no_gradient(capsys, monkeypatch):
+    def forbidden(x):
+        raise AssertionError("a gradient of the potential was built")
+
+    monkeypatch.setattr(dp, "_zeta_d1", forbidden)
+    code = cli.run(["lower-bound", "--dim", "2", "--n", "64", "--seeds", "3", "--seed", "4"])
+    out, err = capsys.readouterr()
+    assert code == 0, err
+    assert len(json.loads(out)["results"]) == 3
 
 
 def test_spatial_mean_is_zero():

@@ -356,6 +356,52 @@ def test_coupling_exact_in_tiny_chunks_equals_one_chunk(dim, n, monkeypatch):
     assert dy.coupling_cost_exact(t, t) == 0.0
 
 
+def _all_pairs_coupling(t, s):
+    """Every point pair of each overlapping stopping-box pair, kept where the
+    preimages overlap: the coupling without the slab-edge merge, in one chunk."""
+    a, b, (lo_t, hi_t), (lo_s, hi_s) = dy._overlapping_boxes(t, s)
+    (lo_r, hi_r), (lo_q, hi_q) = dy._point_preimages(t, lo_t, hi_t), dy._point_preimages(s, lo_s, hi_s)
+    na, nb = t.tree.counts[t.tree.k_star][a], s.tree.counts[s.tree.k_star][b]
+    reps = na * nb
+    pair = np.repeat(np.arange(a.size), reps)
+    local = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
+    n_idx = t.cell_order[t.box_offsets[a][pair] + local // nb[pair]]
+    m_idx = s.cell_order[s.box_offsets[b][pair] + local % nb[pair]]
+    sides = np.minimum(hi_r[n_idx], hi_q[m_idx]) - np.maximum(lo_r[n_idx], lo_q[m_idx])
+    vol = sides.clip(min=0.0).prod(axis=1)
+    keep = vol > 0.0
+    return n_idx[keep], m_idx[keep], vol[keep] / t.tree.side**t.tree.dim
+
+
+def _assert_merge_equals_all_pairs(t, s):
+    want = _all_pairs_coupling(t, s)
+    for got, expected in zip(dy.coupling_exact(t, s), want):
+        assert np.array_equal(got, expected)
+    assert len(list(dy._coupling_chunks(t, s))) == 1
+    n_idx, m_idx, mass = want
+    x, y = t.tree.cloud.points, s.tree.cloud.points
+    assert dy.coupling_cost_exact(t, s) == float(mass @ ((y[m_idx] - x[n_idx]) ** 2).sum(axis=1))
+
+
+@pytest.mark.parametrize("side", [1.0, 2.5])
+@pytest.mark.parametrize("dim, n", [(1, 1), (1, 1000), (1, 4096), (2, 3), (2, 256), (2, 4096), (3, 7), (3, 512), (3, 4096)])
+def test_merged_slab_pairs_equal_all_pairs(dim, n, side):
+    _assert_merge_equals_all_pairs(*_map_pair(n, dim, 130 + n, side))
+
+
+@pytest.mark.parametrize("dim, m", [(1, 64), (2, 16), (3, 8)])
+def test_merged_slab_pairs_equal_all_pairs_on_coinciding_edges(dim, m):
+    # two lattices with equal box counts have equal preimages, so every slab
+    # edge of one cloud coincides with one of the other
+    cells = np.stack(np.meshgrid(*[np.arange(m)] * dim, indexing="ij"), axis=-1).reshape(-1, dim)
+    jitter = np.random.default_rng(dim).uniform(0.1, 0.9, cells.shape)
+    x, y = _cloud_from((cells + 0.5) / m), _cloud_from((cells + jitter) / m)
+    t, s = dy.build_map(x), dy.build_map(y)
+    assert np.array_equal(t.tree.counts[-1], s.tree.counts[-1])
+    _assert_merge_equals_all_pairs(t, s)
+    _assert_merge_equals_all_pairs(t, t)
+
+
 _COUPLING_RSS_PROBE = """
 import resource
 from pointmatch import dyadic_transport as dy, geometry as geo
