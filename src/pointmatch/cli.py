@@ -29,7 +29,7 @@ from . import assignment as asg
 from . import binomial
 from . import experiments as xp
 from .geometry import cloud_to_csv, sample_uniform, substream_seed
-from .stats import TrialError, default_workers, map_trials, trial_seeds
+from .stats import FORK_AFTER_S, TrialError, default_workers, map_trials, trial_seeds
 
 SEED_ENV_VAR = "POINTMATCH_SEED"
 
@@ -107,7 +107,10 @@ HELP = {
     "side": "box side length L",
     "seed": f"master seed (default ${SEED_ENV_VAR}, else 0)",
     "seeds": "number of independent instances",
-    "workers": "parallel trial workers (default: the CPUs this process may run on)",
+    "workers": (
+        f"most processes to run the trials on; the extra ones fork only after {FORK_AFTER_S:g} s of trials"
+        " in this one (default: the CPUs this process may run on)"
+    ),
     "trials": "trials per run (scaling: a comma-separated list, one per N; a single value broadcasts)",
     "theta": "comma-separated volume fractions",
     "method": "exact solver: " + ", ".join(_MATCH_SOLVERS),

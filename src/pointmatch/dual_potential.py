@@ -30,6 +30,7 @@ from .geometry import PointCloud
 
 ZETA_SCALE = 140.0  # normalizes int_0^1 x^3 (1-x)^3 dx = 1/140
 GRID_SLAB_POINTS = 1 << 15  # grid points per slab in grad_sq_on_grid
+EVAL_SLICE_POINTS = 1 << 12  # points per slice in potential_values and potential_eval_batch
 # sup |grad Phi|^2 is estimated as the grid maximum times INFLATION**2. This is a
 # heuristic, not a proven upper bound: the margin is meant to cover the residual
 # between the grid maximum and the true supremum, but a finer grid can exceed it
@@ -216,22 +217,26 @@ def _level_sum(terms: np.ndarray) -> np.ndarray:
     return total
 
 
-def potential_values(p: DualPotential, xs: np.ndarray) -> np.ndarray:
-    """Values of the potential at a batch of points, all levels at once.
+def _in_slices(evaluate, p: DualPotential, xs) -> tuple:
+    """evaluate(p, slice) on consecutive slices of EVAL_SLICE_POINTS points, its arrays joined.
 
-    Bit-identical to the values of `potential_eval_batch`; no derivative of
-    the bump is evaluated. Like it, holds a few arrays of p.level x (d + 1)
-    floats per point at once.
+    Each point's level sum is its own, so the result is bit-identical to one
+    call on all the points, while the p.level x (d + 1) floats per point that
+    an evaluation holds are held for one slice at a time.
     """
-    _, w, scale, amp = _level_stack(p, np.atleast_2d(np.asarray(xs, dtype=np.float64)))
+    xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
+    slices = [evaluate(p, xs[lo : lo + EVAL_SLICE_POINTS]) for lo in range(0, max(len(xs), 1), EVAL_SLICE_POINTS)]
+    return tuple(np.concatenate(parts) for parts in zip(*slices))
+
+
+def _values(p: DualPotential, xs: np.ndarray) -> tuple[np.ndarray]:
+    _, w, scale, amp = _level_stack(p, xs)
     zvals = _zeta_val(w)
     scaled = (scale[:, :1] ** 2 * amp) * (zvals[:, 0] - zvals[:, -1])
-    return _level_sum(_times_product(scaled, list(zvals[:, 1:-1].swapaxes(0, 1))))
+    return (_level_sum(_times_product(scaled, list(zvals[:, 1:-1].swapaxes(0, 1)))),)
 
 
-def potential_eval_batch(p: DualPotential, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Values and gradients of the potential at a batch of points, all levels at once."""
-    xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
+def _values_and_gradients(p: DualPotential, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     axes, w, scale, amp = _level_stack(p, xs)
     zvals, zders = _zeta_val(w), _zeta_d1(w)
     lk = scale[:, :1]
@@ -245,6 +250,22 @@ def potential_eval_batch(p: DualPotential, xs: np.ndarray) -> tuple[np.ndarray, 
     grads = grads[np.arange(axes.shape[0])[:, None], np.argsort(axes, axis=1)]
     values = _level_sum(_times_product(scaled, others))
     return values, np.ascontiguousarray(_level_sum(grads).T)
+
+
+def potential_values(p: DualPotential, xs: np.ndarray) -> np.ndarray:
+    """Values of the potential at a batch of points, all levels at once.
+
+    Bit-identical to the values of `potential_eval_batch`; no derivative of
+    the bump is evaluated. Like it, works through the points in slices.
+    """
+    (values,) = _in_slices(_values, p, xs)
+    return values
+
+
+def potential_eval_batch(p: DualPotential, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Values and gradients of the potential at a batch of points, all levels
+    at once, EVAL_SLICE_POINTS points at a time."""
+    return _in_slices(_values_and_gradients, p, xs)
 
 
 def potential_eval(p: DualPotential, x: np.ndarray) -> tuple[float, np.ndarray]:

@@ -10,6 +10,8 @@ each stopping box yields a map T whose preimages all have volume exactly L^d/N.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -529,9 +531,12 @@ def coupling_cost_exact(t: HierarchicalMap, s: HierarchicalMap) -> float:
     """sum over pairs of mass * |Y_m - X_n|^2 for the exact coupling; an upper
     bound on the optimal matching cost by the Birkhoff-von Neumann theorem.
 
-    Summed chunk by chunk, so no array spans all the pairs."""
+    One math.fsum is fed the pairs' terms chunk by chunk, so no array spans
+    all the pairs and the correctly rounded sum does not depend on the
+    chunking."""
     x, y = t.tree.cloud.points, s.tree.cloud.points
-    return sum(float(mass @ ((y[m] - x[n]) ** 2).sum(axis=1)) for n, m, mass in _coupling_chunks(t, s))
+    terms = ((mass * ((y[m] - x[n]) ** 2).sum(axis=1)).tolist() for n, m, mass in _coupling_chunks(t, s))
+    return math.fsum(itertools.chain.from_iterable(terms))
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,16 @@
 """Seeded Monte Carlo ensembles, their summaries, and scaling-law fits.
 
 `run_ensemble` and the CLI's per-instance loops run through `map_trials`:
-trial t of a run gets seed `trial_seeds(master, count)[t]`. With w workers (by
-default one per CPU this process may run on) the trials are cut into w
-contiguous shares: this process runs share 0 and w - 1 forked children run the
-rest, and only the results are pickled back. Results come back in trial order.
-Each trial depends on its seed alone, so outputs are bit-identical for every
-worker count.
+trial t of a run gets seed `trial_seeds(master, count)[t]`. The trials run in
+this process, in trial order, until they have taken `FORK_AFTER_S` seconds;
+then, with w workers (by default one per CPU this process may run on), the
+remaining trials are cut into w contiguous shares: this process keeps the
+first and w - 1 forked children run the rest, pickling back only the results.
+A short batch therefore never pays for a fork, and a long one runs only its
+first `FORK_AFTER_S` (or its first trial, if that takes longer) without the
+other workers. Results come back in trial order. Each trial depends on its
+seed alone, so outputs are bit-identical for every worker count and fork
+point.
 """
 
 from __future__ import annotations
@@ -18,12 +22,22 @@ import pickle
 import queue
 import signal
 import threading
+import time
 import traceback
 from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import substream_seed
+
+# Seconds of in-process trials before map_trials forks. On a 2-vCPU host a
+# fork costs a roughly fixed 30-50 ms, and `upper-bound --n 256` (4-5 ms
+# instances) ran faster serial than forked at once up to 40-200 instances
+# (0.2-0.8 s of trials, depending on the host's load) and faster forked
+# beyond. Forking at the low end of that crossover keeps short batches in
+# this process and costs a long one at most 0.2 s, or one trial, of parallel
+# time.
+FORK_AFTER_S = 0.2
 
 
 class TrialError(RuntimeError):
@@ -176,28 +190,39 @@ class _Child:
 def map_trials(observable, seeds, workers: int | None = None):
     """Yield observable(seed) for each seed, in order; trial t is seeds[t].
 
-    With w = min(workers, trials) > 1 (workers None: default_workers()) the
-    trials are cut into w contiguous shares. This process runs share 0 and
-    yields its results as they come; w - 1 forked children run the others,
-    each pickling its results one by one to a pipe that is read in trial
-    order. The children inherit the observable, so only results need to
-    pickle. With one worker, or where os.fork does not exist, the trials run
-    in this process. The first failing trial raises TrialError, and so does
-    the trial a child dies in. Children still running when the map ends,
-    fails or is closed are killed and reaped.
+    The trials run in this process until they have taken FORK_AFTER_S
+    seconds. If trials t.. remain then and w = min(workers, trials left) > 1
+    (workers None: default_workers()), they are cut into w contiguous shares:
+    this process runs the first and yields its results as they come, and
+    w - 1 forked children run the others, each pickling its results one by
+    one to a pipe that is read in trial order. The children inherit the
+    observable, so only results need to pickle. Where os.fork does not exist
+    every trial runs in this process. The first failing trial raises
+    TrialError, and so does the trial a child dies in. Children still running
+    when the map ends, fails or is closed are killed and reaped.
     """
     seeds = list(seeds)
-    workers = min(default_workers() if workers is None else workers, len(seeds))
-    if workers <= 1 or not hasattr(os, "fork"):
-        for t, seed in enumerate(seeds):
-            yield _run_trial(observable, t, seed)
-        return
-    cuts = [len(seeds) * i // workers for i in range(workers + 1)]
+    workers = default_workers() if workers is None else workers
+    spent = 0.0
+    for t, seed in enumerate(seeds):
+        share = min(workers, len(seeds) - t)
+        if share > 1 and spent >= FORK_AFTER_S and hasattr(os, "fork"):
+            yield from _forked_shares(observable, seeds, t, share)
+            return
+        begin = time.perf_counter()
+        result = _run_trial(observable, t, seed)
+        spent += time.perf_counter() - begin
+        yield result
+
+
+def _forked_shares(observable, seeds: list, first: int, workers: int):
+    """Yield the results of trials first.. cut into `workers` contiguous shares, all but the first forked."""
+    cuts = [first + (len(seeds) - first) * i // workers for i in range(workers + 1)]
     children = []
     try:
         for lo, hi in zip(cuts[1:-1], cuts[2:]):
             children.append(_Child(observable, seeds, lo, hi))
-        for t in range(cuts[1]):
+        for t in range(first, cuts[1]):
             yield _run_trial(observable, t, seeds[t])
         for child in children:
             yield from child.results()
