@@ -269,9 +269,14 @@ def optimal_with_dual(x: PointCloud, y: PointCloud) -> tuple[float, float]:
       by at most 1.1 eps M.
     These add up to at most (3.52 N + 0.51 d + 5.2) eps M, below a.
     """
+    cost, terms = _solve_with_dual(x, y)
+    return cost, _certified_bound(x, terms)
+
+
+def _solve_with_dual(x: PointCloud, y: PointCloud) -> tuple[float, list]:
+    """The exact cost and the dual terms of `optimal_with_dual`: [u, v] (d = 1) or [f, g, h]."""
     if x.dim == 1:
-        u, v = staircase_dual(x, y)
-        return monotone_matching_1d(x, y).cost, _certified_bound(x, [u, v])
+        return monotone_matching_1d(x, y).cost, list(staircase_dual(x, y))
     f = poisson_dual(x, y)
     c = cost_matrix(x, y)
     e = c.entries
@@ -283,12 +288,14 @@ def optimal_with_dual(x: PointCloud, y: PointCloud) -> tuple[float, float]:
     e -= g
     h = e.min(axis=1)
     e -= h[:, None]
-    return pair_cost(x, y, match_solver(c).perm), _certified_bound(x, [f, g, h])
+    return pair_cost(x, y, match_solver(c).perm), [f, g, h]
 
 
 def optimal_cost(x: PointCloud, y: PointCloud) -> float:
-    """Exact matching cost: the first value of `optimal_with_dual`."""
-    return optimal_with_dual(x, y)[0]
+    """Exact matching cost: the first value of `optimal_with_dual`, without its bound."""
+    if x.dim == 1:
+        return monotone_matching_1d(x, y).cost
+    return _solve_with_dual(x, y)[0]
 
 
 def match_lp(c: CostMatrix) -> TransportPlan:

@@ -29,7 +29,7 @@ from . import assignment as asg
 from . import binomial
 from . import experiments as xp
 from .geometry import cloud_to_csv, sample_uniform, substream_seed
-from .stats import FORK_AFTER_S, TrialError, default_workers, map_trials, trial_seeds
+from .stats import TrialError, default_workers, map_trials, trial_seeds
 
 SEED_ENV_VAR = "POINTMATCH_SEED"
 
@@ -107,10 +107,7 @@ HELP = {
     "side": "box side length L",
     "seed": f"master seed (default ${SEED_ENV_VAR}, else 0)",
     "seeds": "number of independent instances",
-    "workers": (
-        f"most processes to run the trials on; the extra ones fork only after {FORK_AFTER_S:g} s of trials"
-        " in this one (default: the CPUs this process may run on)"
-    ),
+    "workers": "parallel trial workers, the forked ones pinned to CPUs of their own (default: the CPUs this process may run on)",
     "trials": "trials per run (scaling: a comma-separated list, one per N; a single value broadcasts)",
     "theta": "comma-separated volume fractions",
     "method": "exact solver: " + ", ".join(_MATCH_SOLVERS),
@@ -391,7 +388,12 @@ _COMMANDS = {
 # Parser.
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser; with `only`, the other subcommands get no options.
+
+    Building every subcommand's options costs milliseconds, about one
+    upper-bound instance at N = 256, and a command line names one subcommand.
+    """
     parser = argparse.ArgumentParser(
         prog="pointmatch",
         description=__doc__,
@@ -400,6 +402,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name, cmd in _COMMANDS.items():
         p = sub.add_parser(name, help=cmd.__doc__)
+        if only not in (None, name):
+            continue
         p.add_argument(
             "--config",
             help="JSON file of option values, under the option names or a summary's config field names; flags always win",
@@ -410,8 +414,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:

@@ -10,8 +10,6 @@ each stopping box yields a map T whose preimages all have volume exactly L^d/N.
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -236,6 +234,20 @@ class HierarchicalMap:
     cell_order: np.ndarray = field(repr=False)  # point ids sorted by (box, lex coords)
     box_offsets: np.ndarray = field(repr=False)  # CSR-style offsets per stopping box
 
+    @cached_property
+    def preimage_levels(self) -> tuple:
+        """(lower, upper corners) of every level-k box's preimage under S_k, for
+        k = 0..k*; computed once per map, read-only."""
+        levels = [_domain(self.tree)]
+        for level in range(1, self.tree.k_star + 1):
+            levels.append(_split_preimages(self.tree, level, *levels[-1]))
+        return tuple(_read_only(*corners) for corners in levels)
+
+    @cached_property
+    def point_preimages(self) -> tuple:
+        """(lower, upper corners) of T^(-1)(X_n) by point id; computed once per map, read-only."""
+        return _read_only(*_point_preimages(self, *self.preimage_levels[-1]))
+
 
 def hierarchical_map(tree: DyadicTree) -> HierarchicalMap:
     pts = tree.cloud.points
@@ -403,16 +415,20 @@ def _domain(tree: DyadicTree):
     return np.zeros((1, tree.dim)), np.full((1, tree.dim), tree.side)
 
 
+def _read_only(*arrays: np.ndarray) -> tuple:
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 def _centre_width(lo: np.ndarray, hi: np.ndarray):
     return (lo + hi) / 2.0, hi - lo
 
 
 def preimage_boxes(h: HierarchicalMap) -> tuple[np.ndarray, np.ndarray]:
-    """Lower and upper corners of T^(-1)(X_n) for every sample point; each box has volume L^d/N."""
-    lo, hi = _domain(h.tree)
-    for level in range(1, h.tree.k_star + 1):
-        lo, hi = _split_preimages(h.tree, level, lo, hi)
-    return _point_preimages(h, lo, hi)
+    """Lower and upper corners of T^(-1)(X_n) for every sample point, read-only;
+    each box has volume L^d/N."""
+    return h.point_preimages
 
 
 def map_cost_exact(h: HierarchicalMap) -> float:
@@ -464,17 +480,15 @@ def _overlapping_boxes(t: HierarchicalMap, s: HierarchicalMap):
     keeps only the overlapping pairs, checking the split coordinate."""
     tx, ty = t.tree, s.tree
     _check_pair(tx.cloud, ty.cloud)
-    (lo_t, hi_t), (lo_s, hi_s) = _domain(tx), _domain(ty)
     a = b = np.zeros(1, dtype=np.int64)
     for level in range(1, tx.k_star + 1):
         c = split_coordinate(level, tx.dim)
-        lo_t, hi_t = _split_preimages(tx, level, lo_t, hi_t)
-        lo_s, hi_s = _split_preimages(ty, level, lo_s, hi_s)
+        (lo_t, hi_t), (lo_s, hi_s) = t.preimage_levels[level], s.preimage_levels[level]
         a = (2 * a[:, None] + np.array([0, 0, 1, 1])).ravel()
         b = (2 * b[:, None] + np.array([0, 1, 0, 1])).ravel()
         keep = np.minimum(hi_t[a, c], hi_s[b, c]) > np.maximum(lo_t[a, c], lo_s[b, c])
         a, b = a[keep], b[keep]
-    return a, b, (lo_t, hi_t), (lo_s, hi_s)
+    return a, b, t.preimage_levels[-1], s.preimage_levels[-1]
 
 
 def _coupling_chunks(t: HierarchicalMap, s: HierarchicalMap):
@@ -491,7 +505,7 @@ def _coupling_chunks(t: HierarchicalMap, s: HierarchicalMap):
     # overlap gives the other sides. A kept box pair holds points on both
     # sides, since an empty box's preimage has no width along the coordinate
     # that emptied it.
-    (lo_r, hi_r), (lo_q, hi_q) = _point_preimages(t, lo_t, hi_t), _point_preimages(s, lo_s, hi_s)
+    (lo_r, hi_r), (lo_q, hi_q) = t.point_preimages, s.point_preimages
     lower_t, upper_t = lo_r[t.cell_order, 0], hi_r[t.cell_order, 0]
     lower_s, upper_s = lo_q[s.cell_order, 0], hi_q[s.cell_order, 0]
     across = np.minimum(hi_t[a, 1:], hi_s[b, 1:]) - np.maximum(lo_t[a, 1:], lo_s[b, 1:])
@@ -531,12 +545,38 @@ def coupling_cost_exact(t: HierarchicalMap, s: HierarchicalMap) -> float:
     """sum over pairs of mass * |Y_m - X_n|^2 for the exact coupling; an upper
     bound on the optimal matching cost by the Birkhoff-von Neumann theorem.
 
-    One math.fsum is fed the pairs' terms chunk by chunk, so no array spans
-    all the pairs and the correctly rounded sum does not depend on the
-    chunking."""
+    The pairs' terms are summed exactly chunk by chunk (`_exact_sum`) and
+    rounded once, so no array spans all the pairs and the correctly rounded
+    sum (math.fsum's) does not depend on the chunking."""
     x, y = t.tree.cloud.points, s.tree.cloud.points
-    terms = ((mass * ((y[m] - x[n]) ** 2).sum(axis=1)).tolist() for n, m, mass in _coupling_chunks(t, s))
-    return math.fsum(itertools.chain.from_iterable(terms))
+    total = sum(_exact_sum(mass * ((y[m] - x[n]) ** 2).sum(axis=1)) for n, m, mass in _coupling_chunks(t, s))
+    return total / (1 << _SUM_SCALE)
+
+
+# frexp gives float64 exponents down to -1073 and 53-bit mantissas.
+_SUM_SCALE = 1073 + 53
+_SUM_SPLIT = 26  # mantissa halves < 2^27 add exactly in float64 for < 2^26 terms
+
+
+def _exact_sum(v: np.ndarray) -> int:
+    """sum(v) * 2**_SUM_SCALE, exactly, as an integer.
+
+    Each term is an integer mantissa times a power of two. The mantissas are
+    split into two halves and summed per exponent by bincount, exactly since
+    every partial sum stays below 2^53; the few per-exponent sums then add up
+    as Python integers."""
+    if v.size > 1 << _SUM_SPLIT:
+        return sum(_exact_sum(v[i : i + (1 << _SUM_SPLIT)]) for i in range(0, v.size, 1 << _SUM_SPLIT))
+    if v.size == 0:
+        return 0
+    mantissa, exponent = np.frexp(v)
+    digits = np.ldexp(mantissa, 53).astype(np.int64)
+    low = int(exponent.min())
+    shift = exponent - low
+    high_sums = np.bincount(shift, weights=digits >> _SUM_SPLIT)
+    low_sums = np.bincount(shift, weights=digits & ((1 << _SUM_SPLIT) - 1))
+    total = sum((int(h) << (_SUM_SPLIT + k)) + (int(l) << k) for k, (h, l) in enumerate(zip(high_sums, low_sums)))
+    return total << (low - 53 + _SUM_SCALE)
 
 
 # ---------------------------------------------------------------------------

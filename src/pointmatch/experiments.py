@@ -1,10 +1,9 @@
 """Experiment drivers binding sampling, solvers, maps, and potentials.
 
 Observables are module-level functions over frozen dataclass configs, bound
-with `functools.partial`; trial workers, forked once a batch has spent
-`stats.FORK_AFTER_S` seconds in this process, inherit them and pickle back
-only their results. Every randomized quantity inside a trial draws from a
-substream derived from the trial seed.
+with `functools.partial`; forked trial workers inherit them and pickle back only
+their results. Every randomized quantity inside a trial draws from a substream
+derived from the trial seed.
 """
 
 from __future__ import annotations
@@ -189,10 +188,8 @@ def scaling_experiment(
 ) -> tuple[list[ScalingResult], ScalingFit]:
     """Ensemble mean of the exact matching cost per N, plus the shape fit.
 
-    The trials of each N run through `map_trials` on at most `workers`
-    processes (None: one per CPU this process may run on), forking only once
-    they have taken FORK_AFTER_S seconds here; the results do not depend on
-    the count."""
+    The trials of each N run on `workers` processes (None: every CPU this
+    process may run on); the results do not depend on the count."""
     if len(trials) != len(n_values):
         raise ValueError("trials list must match n list")
     results = []
@@ -264,8 +261,7 @@ def recursion_audit(
     the uniform measure, the increment over the previous level, the mixed cross
     term, and the smallest constant C that makes the one-step recursion
     E_k <= C (L_k/r)^(2-d) r^2 + (1 + C (r/L_k)^d) E_(k-1) hold. The clouds
-    run through `map_trials` on at most `workers` processes; the audit does not
-    depend on the count.
+    run on `workers` processes; the audit does not depend on the count.
     """
     if trials < 2:
         raise ValueError("audit needs at least 2 trials")

@@ -1,20 +1,17 @@
 """Seeded Monte Carlo ensembles, their summaries, and scaling-law fits.
 
 `run_ensemble` and the CLI's per-instance loops run through `map_trials`:
-trial t of a run gets seed `trial_seeds(master, count)[t]`. The trials run in
-this process, in trial order, until they have taken `FORK_AFTER_S` seconds;
-then, with w workers (by default one per CPU this process may run on), the
-remaining trials are cut into w contiguous shares: this process keeps the
-first and w - 1 forked children run the rest, pickling back only the results.
-A short batch therefore never pays for a fork, and a long one runs only its
-first `FORK_AFTER_S` (or its first trial, if that takes longer) without the
-other workers. Results come back in trial order. Each trial depends on its
-seed alone, so outputs are bit-identical for every worker count and fork
-point.
+trial t of a run gets seed `trial_seeds(master, count)[t]`. With w workers (by
+default one per CPU this process may run on) the trials are cut into w
+contiguous shares: this process runs share 0 and w - 1 forked children, each
+pinned to a CPU other than this process's, run the rest, and only the results
+are pickled back. Results come back in trial order. Each trial depends on its
+seed alone, so outputs are bit-identical for every worker count.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import mmap
 import os
@@ -22,22 +19,12 @@ import pickle
 import queue
 import signal
 import threading
-import time
 import traceback
 from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import substream_seed
-
-# Seconds of in-process trials before map_trials forks. On a 2-vCPU host a
-# fork costs a roughly fixed 30-50 ms, and `upper-bound --n 256` (4-5 ms
-# instances) ran faster serial than forked at once up to 40-200 instances
-# (0.2-0.8 s of trials, depending on the host's load) and faster forked
-# beyond. Forking at the low end of that crossover keeps short batches in
-# this process and costs a long one at most 0.2 s, or one trial, of parallel
-# time.
-FORK_AFTER_S = 0.2
 
 
 class TrialError(RuntimeError):
@@ -115,7 +102,7 @@ def _write_pickles(pickles: queue.SimpleQueue, out) -> None:
 class _Child:
     """A forked child that runs trials lo..hi-1 and pickles each result to a pipe."""
 
-    def __init__(self, observable, seeds: list, lo: int, hi: int):
+    def __init__(self, observable, seeds: list, lo: int, hi: int, cpu: int | None = None):
         self.seeds, self.lo, self.hi = seeds, lo, hi
         self.running = memoryview(mmap.mmap(-1, 8)).cast("q")  # shared with the child: its current trial
         self.running[0] = lo
@@ -124,6 +111,9 @@ class _Child:
         if self.pid == 0:
             status = 1
             try:
+                if cpu is not None:
+                    with contextlib.suppress(OSError):
+                        os.sched_setaffinity(0, {cpu})
                 os.close(read_fd)
                 with os.fdopen(write_fd, "wb") as out:
                     self._run(observable, out)
@@ -187,42 +177,58 @@ class _Child:
             self._wait()
 
 
+def _child_cpus(count: int) -> list:
+    """A CPU for each of `count` forked children: the others this process may
+    run on, in turn, and then this one; all None (not pinned) where those
+    cannot be read or there is no other.
+
+    Left to place a forked child, the kernel can keep it on its parent's CPU
+    while another idles. Both shares then run by turns, slower than one
+    process would run them all: on a 2-vCPU host, 10 `upper-bound --n 256`
+    instances took a median 54-81 ms forked against 39-55 ms in one process
+    (three sets of 10-12 fresh runs), and 37-47 ms with the child pinned.
+    """
+    try:
+        here = _this_cpu()
+        others = sorted(os.sched_getaffinity(0) - {here})
+    except (OSError, AttributeError, IndexError, ValueError):
+        others = []
+    cycle = others + [here] if others else [None]
+    return [cycle[k % len(cycle)] for k in range(count)]
+
+
+def _this_cpu() -> int:
+    """The CPU this process last ran on (Linux: field 39 of /proc/self/stat)."""
+    with open("/proc/self/stat") as f:
+        return int(f.read().rsplit(")", 1)[1].split()[36])
+
+
 def map_trials(observable, seeds, workers: int | None = None):
     """Yield observable(seed) for each seed, in order; trial t is seeds[t].
 
-    The trials run in this process until they have taken FORK_AFTER_S
-    seconds. If trials t.. remain then and w = min(workers, trials left) > 1
-    (workers None: default_workers()), they are cut into w contiguous shares:
-    this process runs the first and yields its results as they come, and
-    w - 1 forked children run the others, each pickling its results one by
-    one to a pipe that is read in trial order. The children inherit the
-    observable, so only results need to pickle. Where os.fork does not exist
-    every trial runs in this process. The first failing trial raises
-    TrialError, and so does the trial a child dies in. Children still running
-    when the map ends, fails or is closed are killed and reaped.
+    With w = min(workers, trials) > 1 (workers None: default_workers()) the
+    trials are cut into w contiguous shares. This process runs share 0 and
+    yields its results as they come; w - 1 forked children, each pinned to a
+    CPU of its own while CPUs last (`_child_cpus`), run the others, each
+    pickling its results one by one to a pipe that is read in trial
+    order. The children inherit the observable, so only results need to
+    pickle. With one worker, or where os.fork does not exist, the trials run
+    in this process. The first failing trial raises TrialError, and so does
+    the trial a child dies in. Children still running when the map ends,
+    fails or is closed are killed and reaped.
     """
     seeds = list(seeds)
-    workers = default_workers() if workers is None else workers
-    spent = 0.0
-    for t, seed in enumerate(seeds):
-        share = min(workers, len(seeds) - t)
-        if share > 1 and spent >= FORK_AFTER_S and hasattr(os, "fork"):
-            yield from _forked_shares(observable, seeds, t, share)
-            return
-        begin = time.perf_counter()
-        result = _run_trial(observable, t, seed)
-        spent += time.perf_counter() - begin
-        yield result
-
-
-def _forked_shares(observable, seeds: list, first: int, workers: int):
-    """Yield the results of trials first.. cut into `workers` contiguous shares, all but the first forked."""
-    cuts = [first + (len(seeds) - first) * i // workers for i in range(workers + 1)]
+    workers = min(default_workers() if workers is None else workers, len(seeds))
+    if workers <= 1 or not hasattr(os, "fork"):
+        for t, seed in enumerate(seeds):
+            yield _run_trial(observable, t, seed)
+        return
+    cuts = [len(seeds) * i // workers for i in range(workers + 1)]
     children = []
     try:
-        for lo, hi in zip(cuts[1:-1], cuts[2:]):
-            children.append(_Child(observable, seeds, lo, hi))
-        for t in range(first, cuts[1]):
+        for lo, hi, cpu in zip(cuts[1:-1], cuts[2:], _child_cpus(workers - 1)):
+            children.append(_Child(observable, seeds, lo, hi, cpu))
+        for t in range(cuts[1]):
             yield _run_trial(observable, t, seeds[t])
         for child in children:
             yield from child.results()

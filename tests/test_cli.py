@@ -244,6 +244,17 @@ def test_options_do_not_leak_across_subcommands(capsys, monkeypatch, argv):
 
 
 @pytest.mark.parametrize("subcommand", cli._COMMANDS)
+def test_parser_of_one_subcommand_parses_it_as_the_full_parser(subcommand):
+    flags = [a for key in cli.OPTIONS[subcommand] for a in ("--" + key.replace("_", "-"), "1")]
+    one, full = cli.build_parser(subcommand), cli.build_parser()
+    assert one.parse_args([subcommand, *flags]) == full.parse_args([subcommand, *flags])
+    assert one.parse_args([subcommand]) == full.parse_args([subcommand])
+    other = next(name for name in cli._COMMANDS if name != subcommand)
+    with pytest.raises(SystemExit):
+        one.parse_args([other, "--seed", "1"])
+
+
+@pytest.mark.parametrize("subcommand", cli._COMMANDS)
 def test_help_exits_0(capsys, subcommand):
     code, out, _ = run_cli(capsys, subcommand, "--help")
     assert code == 0
@@ -260,7 +271,7 @@ def test_help_exits_0(capsys, subcommand):
     ],
     ids=lambda argv: argv[0],
 )
-def test_outputs_do_not_depend_on_worker_count(fork_at_once, tmp_path, capsys, argv):
+def test_outputs_do_not_depend_on_worker_count(tmp_path, capsys, argv):
     runs = []
     for workers in ("1", "2"):
         path = tmp_path / f"w{workers}.csv"
@@ -285,7 +296,7 @@ def fail_on_third_instance(cfg, seed):
 
 @pytest.mark.parametrize("workers", ["1", "2"])
 @pytest.mark.parametrize("subcommand,row", [("upper-bound", "upper_bound_row"), ("lower-bound", "lower_bound_row")])
-def test_failing_instance_exits_1_naming_trial_and_seed(fork_at_once, capsys, monkeypatch, subcommand, row, workers):
+def test_failing_instance_exits_1_naming_trial_and_seed(capsys, monkeypatch, subcommand, row, workers):
     monkeypatch.setattr(cli.xp, row, fail_on_third_instance)
     code, out, err = run_cli(capsys, subcommand, "--n", "16", "--seeds", "4", "--seed", "5", "--workers", workers)
     assert code == 1
@@ -300,7 +311,7 @@ def exit_on_third_instance(cfg, seed):
     return seed, 0.0
 
 
-def test_dead_worker_exits_1_naming_trial_and_seed(fork_at_once, capsys, monkeypatch):
+def test_dead_worker_exits_1_naming_trial_and_seed(capsys, monkeypatch):
     monkeypatch.setattr(cli.xp, "upper_bound_row", exit_on_third_instance)
     code, out, err = run_cli(capsys, "upper-bound", "--n", "16", "--seeds", "4", "--seed", "5", "--workers", "2")
     assert code == 1

@@ -333,6 +333,36 @@ def test_coupling_exact_identical_clouds_is_diagonal():
     assert dy.coupling_cost_exact(t, t) == 0.0
 
 
+def test_preimage_boxes_are_the_level_walk_cached_read_only():
+    h = dy.build_map(geo.sample_uniform(300, 2.5, 3, 71))
+    lo, hi = dy._domain(h.tree)
+    for level in range(1, h.tree.k_star + 1):
+        lo, hi = dy._split_preimages(h.tree, level, lo, hi)
+        assert np.array_equal(h.preimage_levels[level][0], lo) and np.array_equal(h.preimage_levels[level][1], hi)
+    lower, upper = dy.preimage_boxes(h)
+    want_lower, want_upper = dy._point_preimages(h, lo, hi)
+    assert np.array_equal(lower, want_lower) and np.array_equal(upper, want_upper)
+    assert dy.preimage_boxes(h)[0] is lower
+    with pytest.raises(ValueError):
+        lower[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("kind", ["unit", "wide", "signed", "tiny"])
+def test_exact_sum_is_the_correctly_rounded_sum(kind, monkeypatch):
+    rng = np.random.default_rng(len(kind))
+    for n in (0, 1, 2, 7, 1000, 5000):
+        v = {
+            "unit": rng.random(n),
+            "wide": rng.random(n) * 10.0 ** rng.integers(-300, 300, n),
+            "signed": (rng.random(n) - 0.5) * 2.0 ** rng.integers(-1074, 1000, n),
+            "tiny": np.concatenate([rng.random(n) * 1e-310, [5e-324, 0.0, -0.0]]),
+        }[kind]
+        assert dy._exact_sum(v) / (1 << dy._SUM_SCALE) == math.fsum(v.tolist())
+    # past 2^SPLIT terms the sum goes by slices; shrink the split to reach that path
+    monkeypatch.setattr(dy, "_SUM_SPLIT", 3)
+    assert dy._exact_sum(v) / (1 << dy._SUM_SCALE) == math.fsum(v.tolist())
+
+
 def _sorted_triples(n_idx, m_idx, mass):
     order = np.lexsort((m_idx, n_idx))
     return n_idx[order], m_idx[order], mass[order]

@@ -50,7 +50,7 @@ def test_d1_matching_cost_mean():
     assert abs(ens.mean - 1.0 / 33.0) <= 3 * ens.stderr
 
 
-def test_ensembles_reproducible_and_worker_invariant(fork_at_once):
+def test_ensembles_reproducible_and_worker_invariant():
     cfg = stats.EnsembleConfig(trials=64, master_seed=11, workers=1)
     a = stats.run_ensemble(cfg, uniform_draw)
     b = stats.run_ensemble(cfg, uniform_draw)
@@ -84,7 +84,7 @@ def test_map_trials_keeps_trial_order_when_an_earlier_trial_is_slower():
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_map_trials_failure_names_first_failing_trial(fork_at_once, workers):
+def test_map_trials_failure_names_first_failing_trial(workers):
     seeds = [substream_seed(4, t) for t in range(20)]
     first = next(t for t, s in enumerate(seeds) if s % 5 == 0)
     with pytest.raises(stats.TrialError) as err:
@@ -110,24 +110,24 @@ def forks(monkeypatch):
 
 
 @pytest.mark.parametrize("workers,seeds,pool_size", [(1, 5, None), (8, 3, 3), (2, 1, None), (2, 10, 2)])
-def test_map_trials_pool_never_exceeds_tasks(fork_at_once, forks, workers, seeds, pool_size):
+def test_map_trials_pool_never_exceeds_tasks(forks, workers, seeds, pool_size):
     # pool_size counts this process and its children; None: in-process, no fork
     assert list(stats.map_trials(constant_seven, range(seeds), workers=workers)) == [7.0] * seeds
     assert len(forks) == (0 if pool_size is None else pool_size - 1)
 
 
-def test_map_trials_runs_share_0_in_this_process(fork_at_once, forks):
+def test_map_trials_runs_share_0_in_this_process(forks):
     pids = list(stats.map_trials(lambda seed: os.getpid(), range(4), workers=2))
     assert pids == [os.getpid()] * 2 + forks * 2
 
 
-def test_map_trials_runs_in_process_without_fork(fork_at_once, monkeypatch):
+def test_map_trials_runs_in_process_without_fork(monkeypatch):
     monkeypatch.delattr(os, "fork")
     assert list(stats.map_trials(lambda seed: os.getpid(), range(4), workers=2)) == [os.getpid()] * 4
 
 
 @pytest.mark.parametrize("workers", [2, 5])
-def test_map_trials_lambda_observable_matches_in_process(fork_at_once, workers):
+def test_map_trials_lambda_observable_matches_in_process(workers):
     # the children inherit the observable, so only its results need to pickle
     observable = lambda seed: (seed, np.random.default_rng(seed).random(3))  # noqa: E731
     serial = list(stats.map_trials(observable, range(7), workers=1))
@@ -153,7 +153,7 @@ def killed_on_seed_7(seed):
 
 
 @pytest.mark.parametrize("observable,status", [(exits_on_seed_7, 3), (killed_on_seed_7, -9)])
-def test_map_trials_dead_worker_names_its_trial(fork_at_once, observable, status):
+def test_map_trials_dead_worker_names_its_trial(observable, status):
     # shares [0, 5) here and [5, 10) in the child, which dies after trials 5 and 6
     with pytest.raises(stats.TrialError) as err:
         list(stats.map_trials(observable, range(10), workers=2))
@@ -175,7 +175,7 @@ def _assert_reaped(pids):
             os.waitpid(pid, os.WNOHANG)
 
 
-def test_map_trials_kills_children_when_this_share_fails(fork_at_once, forks):
+def test_map_trials_kills_children_when_this_share_fails(forks):
     start = time.monotonic()
     with pytest.raises(stats.TrialError) as err:
         list(stats.map_trials(fails_first_sleeps_in_child, range(4), workers=2))
@@ -184,7 +184,7 @@ def test_map_trials_kills_children_when_this_share_fails(fork_at_once, forks):
     _assert_reaped(forks)
 
 
-def test_map_trials_kills_children_when_closed_early(fork_at_once, forks):
+def test_map_trials_kills_children_when_closed_early(forks):
     start = time.monotonic()
     results = stats.map_trials(fails_first_sleeps_in_child, range(1, 5), workers=2)
     assert next(results) == 1
@@ -199,7 +199,7 @@ def test_default_workers_is_the_affinity_set(monkeypatch):
     assert stats.default_workers() == (os.cpu_count() or 1)
 
 
-def test_map_trials_defaults_to_default_workers(fork_at_once, monkeypatch, forks):
+def test_map_trials_defaults_to_default_workers(monkeypatch, forks):
     monkeypatch.setattr(stats, "default_workers", lambda: 3)
     list(stats.map_trials(constant_seven, range(100)))
     assert len(forks) == 2
@@ -207,44 +207,46 @@ def test_map_trials_defaults_to_default_workers(fork_at_once, monkeypatch, forks
     assert len(forks) == 4
 
 
-def refusing_fork():
-    raise AssertionError("a batch shorter than FORK_AFTER_S forked")
+def test_child_cpus_take_the_other_cpus_in_turn_then_this_one(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 3, 6})
+    monkeypatch.setattr(stats, "_this_cpu", lambda: 3)
+    assert stats._child_cpus(3) == [0, 1, 6]
+    assert stats._child_cpus(6) == [0, 1, 6, 3, 0, 1]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3})
+    assert stats._child_cpus(2) == [None, None]
 
 
-def test_map_trials_short_batch_never_forks(monkeypatch):
-    monkeypatch.setattr(stats, "default_workers", lambda: 4)
-    monkeypatch.setattr(os, "fork", refusing_fork)
-    assert list(stats.map_trials(constant_seven, range(50))) == [7.0] * 50
-    assert list(stats.map_trials(lambda seed: os.getpid(), range(50), workers=2)) == [os.getpid()] * 50
-    stats.run_ensemble(stats.EnsembleConfig(trials=50, master_seed=0), uniform_draw)
+def unreadable():
+    raise OSError("no /proc")
 
 
-def sleeps_a_quarter_threshold(seed):
-    # four in-process trials reach FORK_AFTER_S, so ten cross it
-    time.sleep(stats.FORK_AFTER_S / 4)
-    if seed == 1 and os.getpid() == TEST_PID:
-        raise ArithmeticError("in the in-process prefix")
-    return uniform_draw(seed), os.getpid()
+def test_child_cpus_are_not_pinned_where_the_cpu_is_unknown(monkeypatch):
+    monkeypatch.setattr(stats, "_this_cpu", unreadable)
+    assert stats._child_cpus(2) == [None, None]
+    monkeypatch.undo()
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert stats._child_cpus(1) == [None]
 
 
-def test_map_trials_forks_once_the_batch_crosses_the_threshold(forks):
-    seeds = [substream_seed(9, t) for t in range(10)]
-    forked = list(stats.map_trials(sleeps_a_quarter_threshold, seeds, workers=2))
-    serial = list(stats.map_trials(uniform_draw, seeds, workers=1))
-    assert [draw for draw, _ in forked] == serial
-    pids = [pid for _, pid in forked]
-    assert len(forks) == 1
-    # the fork comes after 1 to 4 trials here; the child takes the second half of the 6 to 9 left
-    first_in_child = pids.index(forks[0])
-    assert pids == [os.getpid()] * first_in_child + forks * (10 - first_in_child)
-    assert 3 <= 10 - first_in_child <= 5
+def test_this_cpu_is_one_this_process_may_run_on():
+    assert stats._this_cpu() in os.sched_getaffinity(0)
 
 
-def test_map_trials_failure_before_the_threshold_raises_without_fork(forks):
-    with pytest.raises(stats.TrialError) as err:
-        list(stats.map_trials(sleeps_a_quarter_threshold, range(10), workers=2))
-    assert (err.value.trial, err.value.seed) == (1, 1)
-    assert forks == []
+def pid_and_affinity(seed):
+    return os.getpid(), sorted(os.sched_getaffinity(0))
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two CPUs")
+def test_map_trials_pins_each_child_to_a_cpu_of_its_own(monkeypatch, forks):
+    allowed = sorted(os.sched_getaffinity(0))
+    monkeypatch.setattr(stats, "_this_cpu", lambda: allowed[0])
+    results = list(stats.map_trials(pid_and_affinity, range(6), workers=3))
+    assert [pid for pid, _ in results] == [os.getpid()] * 2 + [forks[0]] * 2 + [forks[1]] * 2
+    # each child runs on the CPU _child_cpus gave it, the first off this one; this process is not pinned
+    first, second = stats._child_cpus(2)
+    assert first != allowed[0]
+    assert [cpus for _, cpus in results] == [allowed] * 2 + [[first]] * 2 + [[second]] * 2
+    assert sorted(os.sched_getaffinity(0)) == allowed
 
 
 @given(perm_seed=st.integers(0, 2**32 - 1))
