@@ -208,7 +208,7 @@ def test_map_trials_defaults_to_default_workers(monkeypatch, forks):
 
 
 def test_child_cpus_take_the_other_cpus_in_turn_then_this_one(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 3, 6})
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 3, 6}, raising=False)
     monkeypatch.setattr(stats, "_this_cpu", lambda: 3)
     assert stats._child_cpus(3) == [0, 1, 6]
     assert stats._child_cpus(6) == [0, 1, 6, 3, 0, 1]
@@ -224,10 +224,14 @@ def test_child_cpus_are_not_pinned_where_the_cpu_is_unknown(monkeypatch):
     monkeypatch.setattr(stats, "_this_cpu", unreadable)
     assert stats._child_cpus(2) == [None, None]
     monkeypatch.undo()
-    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     assert stats._child_cpus(1) == [None]
 
 
+LINUX_AFFINITY = hasattr(os, "sched_setaffinity")
+
+
+@pytest.mark.skipif(not LINUX_AFFINITY, reason="needs Linux CPU affinity")
 def test_this_cpu_is_one_this_process_may_run_on():
     assert stats._this_cpu() in os.sched_getaffinity(0)
 
@@ -236,7 +240,7 @@ def pid_and_affinity(seed):
     return os.getpid(), sorted(os.sched_getaffinity(0))
 
 
-@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two CPUs")
+@pytest.mark.skipif(not LINUX_AFFINITY or len(os.sched_getaffinity(0)) < 2, reason="needs two CPUs to pin to")
 def test_map_trials_pins_each_child_to_a_cpu_of_its_own(monkeypatch, forks):
     allowed = sorted(os.sched_getaffinity(0))
     monkeypatch.setattr(stats, "_this_cpu", lambda: allowed[0])
