@@ -19,6 +19,13 @@ vectors are a Kantorovich dual pair, so the sum of their means, less a proven
 rounding allowance, is a certified lower bound on the optimum. The potential
 lives here rather than in `dual_potential`, which imports this module through
 `dyadic_transport`.
+
+In d >= 3, from N = CANDIDATE_MIN_N, a second shift follows: the dual of the
+sparse assignment on each row's few cheapest reduced entries. Above the
+critical dimension d = 2 a point's optimal partner is among its nearest
+ones, so that dual is close to the dense optimum's and the solver finishes
+about twice as fast again. The bound is read from f, g and h before this
+shift, and the cost from the points, so neither moves.
 """
 
 from __future__ import annotations
@@ -36,6 +43,13 @@ from .geometry import PointCloud
 
 BRUTE_FORCE_LIMIT = 10
 LP_SIZE_LIMIT = 64
+# The candidate shift of `optimal_with_dual` (d >= 3): from N = CANDIDATE_MIN_N, each row's
+# CANDIDATE_K cheapest entries, Bellman-Ford capped at CANDIDATE_ROUNDS rounds (about 250
+# sufficed at N = 4096), rows scanned CANDIDATE_BLOCK entries at a time.
+CANDIDATE_MIN_N = 1024
+CANDIDATE_K = 10
+CANDIDATE_ROUNDS = 1024
+CANDIDATE_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -233,9 +247,15 @@ def optimal_with_dual(x: PointCloud, y: PointCloud) -> tuple[float, float]:
     step subtracts a row or column constant, so the optimal permutation stays,
     and the solver finds it several times sooner. f is computed before the
     matrix exists, so the matrix is the only N x N array alive at any time.
-    The solver's own cost would read reduced entries, so the cost comes from
-    the points, entry by entry as `cdist` computes it. The reduction is the
-    c-transform pair of f: in exact arithmetic f_n + g_m + h_n <= C_nm.
+    In d >= 3 with N >= CANDIDATE_MIN_N the matrix is then shifted once more,
+    by row and column constants from the sparse assignment on each row's
+    CANDIDATE_K cheapest entries (`_candidate_shift`), which again leaves the
+    optimal permutation in place; where that assignment or its duals are not
+    found, the matrix is solved as reduced. The solver's own cost would read
+    reduced entries, so the cost comes from the points, entry by entry as
+    `cdist` computes it. The reduction is the c-transform pair of f: in exact
+    arithmetic f_n + g_m + h_n <= C_nm. The bound below reads only f, g and h,
+    taken before the second shift, so it is the same with or without it.
 
     The lower bound is max(0, T - a). T = (sum f + sum g + sum h) / N
     (d = 1: (sum u + sum v) / N), summed by `math.fsum` and divided once. The
@@ -288,7 +308,89 @@ def _solve_with_dual(x: PointCloud, y: PointCloud) -> tuple[float, list]:
     e -= g
     h = e.min(axis=1)
     e -= h[:, None]
+    if x.dim >= 3 and x.n >= CANDIDATE_MIN_N:
+        _candidate_shift(e)
     return pair_cost(x, y, match_solver(c).perm), [f, g, h]
+
+
+def _candidate_shift(e: np.ndarray) -> bool:
+    """Shift the reduced matrix in place by a dual of its k-cheapest-candidate assignment.
+
+    Each row keeps its CANDIDATE_K smallest entries w, found a block of rows
+    at a time. They go to the sparse assignment solver (LAPJVsp) as integer
+    weights W = rint(w / unit) + 1 >= 1 with unit = max(w) / 2^32: it needs
+    non-zero weights, and on float weights it can loop forever where rounding
+    makes ties inconsistent (seen on lattice clouds), while integers below
+    2^33 keep its sums exact up to N = 2^19. Its matching sigma is optimal
+    for W, so Bellman-Ford over the candidate edges settles: in one direction
+    to the largest row potentials u <= 0, in the other to the largest column
+    potentials v <= 0, each with its partner read off sigma. Both are duals of
+    W (u_i + v_j <= W_ij, equality on sigma), and so is their mean, which
+    leaves fewer negative entries outside the candidates than either one: the
+    dense solver then took 0.15-0.21 s at d = 3, N = 4096, against 0.33-0.46 s
+    from the column potentials alone. The mean, times unit, is subtracted.
+    Returns False, leaving e as it was, when N <= k, when the candidates hold
+    no perfect matching or when either pass has not settled within
+    CANDIDATE_ROUNDS rounds.
+    """
+    n, k = e.shape[0], CANDIDATE_K
+    if n <= k:
+        return False
+    from scipy.sparse.csgraph import min_weight_full_bipartite_matching
+
+    cols = np.empty((k, n), dtype=np.intp)  # cols[:, i]: the candidates of row i
+    step = max(1, CANDIDATE_BLOCK // n)
+    for start in range(0, n, step):
+        cols[:, start : start + step] = np.argpartition(e[start : start + step], k - 1, axis=1)[:, :k].T
+    w = e[np.arange(n), cols]
+    unit = float(w.max()) / 2**32 or 1.0
+    weights = np.rint(w / unit) + 1.0
+    heads = cols.T.ravel()  # row i's candidates at i k, ..., i k + k - 1
+    graph = sparse.csr_array((weights.T.ravel(), heads, np.arange(0, n * k + 1, k)), shape=(n, n))
+    try:
+        sigma = min_weight_full_bipartite_matching(graph)[1]
+    except ValueError:
+        return False
+    rho = np.empty(n, dtype=np.intp)
+    rho[sigma] = np.arange(n)
+    row_w = weights[(cols == sigma).argmax(axis=0), np.arange(n)]  # W_(i, sigma(i))
+    col_w = row_w[rho]  # W_(rho(j), j)
+    # row i's in-edges come from the rows matched to its candidates: u_i <= u_rho(j) + W_ij - W_rho(j)j
+    u = _settle(rho[cols], weights - col_w[cols])
+    # column j's in-edges come from the rows listing j, padded to the largest in-degree with +inf
+    order = np.argsort(heads, kind="stable")
+    deg = np.bincount(heads, minlength=n)
+    slot = np.arange(n * k) - np.repeat(np.cumsum(deg) - deg, deg)
+    tails = np.zeros((deg.max(), n), dtype=np.intp)
+    lengths = np.full(tails.shape, np.inf)
+    tails[slot, heads[order]] = np.repeat(sigma, k)[order]
+    lengths[slot, heads[order]] = (weights - row_w).T.ravel()[order]
+    v = _settle(tails, lengths)
+    if u is None or v is None:
+        return False
+    row_shift = unit * (0.5 * (u + row_w - v[sigma]) - 1.0)
+    col_shift = unit * 0.5 * (v + col_w - u[rho])
+    for start in range(0, n, step):
+        e[start : start + step] -= row_shift[start : start + step, None] + col_shift
+    return True
+
+
+def _settle(tails: np.ndarray, lengths: np.ndarray) -> np.ndarray | None:
+    """The largest p <= 0 with p_h <= p_t + l for every edge t -> h, or None.
+
+    Column h of the (D, N) arrays lists the tails and lengths of the edges into
+    node h. Jacobi Bellman-Ford from p = 0; None if it has not settled within
+    CANDIDATE_ROUNDS rounds.
+    """
+    p = np.zeros(tails.shape[1])
+    for _ in range(CANDIDATE_ROUNDS):
+        reach = p[tails]
+        reach += lengths
+        best = reach.min(axis=0)
+        if not (best < p).any():
+            return p
+        np.minimum(p, best, out=p)
+    return None
 
 
 def optimal_cost(x: PointCloud, y: PointCloud) -> float:

@@ -225,6 +225,139 @@ def test_poisson_dual_rejects_mismatched_clouds():
         asg.poisson_dual(*(geo.sample_uniform(n, 1.0, 2, 0) for n in (16, 17)))
 
 
+# --- candidate shift ----------------------------------------------------------
+
+
+@pytest.fixture
+def shifts(monkeypatch):
+    """Force the candidate shift at every N and record what each call returned."""
+    monkeypatch.setattr(asg, "CANDIDATE_MIN_N", 1)
+    ran = []
+    shift = asg._candidate_shift
+
+    def spy(e):
+        ran.append(shift(e))
+        return ran[-1]
+
+    monkeypatch.setattr(asg, "_candidate_shift", spy)
+    return ran
+
+
+@pytest.mark.parametrize("side", [1.0, 2.5])
+@pytest.mark.parametrize("dim", [3, 4, 6])
+def test_candidate_shift_equals_the_plain_solve(shifts, dim, side):
+    for n in _WARM_N:
+        x = geo.sample_uniform(n, side, dim, geo.substream_seed(31, dim, n, 0))
+        y = geo.sample_uniform(n, side, dim, geo.substream_seed(31, dim, n, 1))
+        assert asg.optimal_cost(x, y) == _plain_optimum(x, y), (dim, side, n)
+        assert shifts[-1] == (n > asg.CANDIDATE_K), (dim, side, n)
+
+
+def test_candidate_shift_equals_the_plain_solve_at_n_2048():
+    # unforced: the warm-start test above reaches the shift's smallest N, 1024, in d >= 3
+    x, y = _pair(2048, 3, 17)
+    assert asg.optimal_cost(x, y) == _plain_optimum(x, y)
+
+
+def test_candidate_shift_on_identical_clouds_costs_zero(shifts):
+    for dim in (3, 4):
+        x = geo.sample_uniform(300, 2.5, dim, 12 + dim)
+        assert asg.optimal_with_dual(x, x) == (0.0, 0.0)
+    assert shifts == [True, True]
+
+
+@pytest.mark.parametrize("steps", [4, 8, 3, 7])
+def test_candidate_shift_on_lattices(shifts, steps):
+    # dyadic steps make every entry exact, so tied permutations cost the same; other steps may differ in a last bit.
+    # Handed float weights, the sparse solver looped forever on some of these clouds.
+    for seed in range(10):
+        n = 40 + 25 * seed
+        x, y = _lattice_pair(n, 3 + seed % 2, steps, (1.0, 2.5)[seed % 2], 500 + seed)
+        plain = _plain_optimum(x, y)
+        if steps in (4, 8):
+            assert asg.optimal_cost(x, y) == plain, seed
+        else:
+            assert asg.optimal_cost(x, y) == pytest.approx(plain, rel=n * np.finfo(float).eps, abs=0.0), seed
+    assert len(shifts) == 10
+
+
+def test_candidate_shift_skips_candidates_without_a_perfect_matching(shifts, monkeypatch):
+    # one candidate per row: the rows' cheapest columns collide
+    monkeypatch.setattr(asg, "CANDIDATE_K", 1)
+    x, y = _pair(200, 3, 21)
+    assert asg.optimal_cost(x, y) == _plain_optimum(x, y)
+    assert shifts == [False]
+
+
+def test_candidate_shift_skips_potentials_that_do_not_settle(shifts, monkeypatch):
+    monkeypatch.setattr(asg, "CANDIDATE_ROUNDS", 1)
+    for dim in (3, 4):
+        x, y = _pair(200, dim, 22)
+        assert asg.optimal_cost(x, y) == _plain_optimum(x, y)
+    assert shifts == [False, False]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 10])
+def test_candidate_shift_skips_clouds_no_larger_than_k(shifts, n):
+    x, y = _pair(n, 3, 23)
+    assert asg.optimal_cost(x, y) == _plain_optimum(x, y)
+    assert shifts == [False]
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_candidate_shift_passes_non_finite_entries_on_to_the_solver_check(shifts, bad):
+    # d = 12 at this N has no Poisson dual, so nothing before the shift rejects the point
+    x, y = _pair(asg.CANDIDATE_MIN_N, 12, 27)
+    pts = x.points.copy()
+    pts[0, 0] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        asg.optimal_cost(_cloud_from(pts), y)
+    assert shifts == [False]
+
+
+def test_candidate_shift_leaves_the_matrix_alone_when_it_skips(monkeypatch):
+    monkeypatch.setattr(asg, "CANDIDATE_K", 1)
+    e = asg.cost_matrix(*_pair(64, 3, 24)).entries
+    before = e.copy()
+    assert not asg._candidate_shift(e)
+    assert np.array_equal(e, before)
+
+
+def test_candidate_shift_runs_only_in_d3_and_up_from_its_size(monkeypatch):
+    def refuse(e):
+        raise AssertionError("candidate shift entered")
+
+    monkeypatch.setattr(asg, "_candidate_shift", refuse)
+    for n, dim in [(asg.CANDIDATE_MIN_N, 2), (asg.CANDIDATE_MIN_N - 1, 3), (asg.CANDIDATE_MIN_N, 1), (300, 6)]:
+        x, y = _pair(n, dim, 25)
+        asg.optimal_cost(x, y)
+        asg.optimal_with_dual(x, y)
+    with pytest.raises(AssertionError, match="entered"):
+        asg.optimal_cost(*_pair(asg.CANDIDATE_MIN_N, 3, 25))
+
+
+@pytest.mark.parametrize("dim", [3, 4])
+def test_candidate_shift_leaves_the_dual_terms_and_bound_alone(monkeypatch, dim):
+    for n in (16, 64, 256):
+        x, y = _pair(n, dim, 26 + n)
+        monkeypatch.setattr(asg, "CANDIDATE_MIN_N", 1)
+        on = asg._solve_with_dual(x, y), asg.optimal_with_dual(x, y)
+        monkeypatch.setattr(asg, "CANDIDATE_MIN_N", n + 1)
+        off = asg._solve_with_dual(x, y), asg.optimal_with_dual(x, y)
+        assert on[0][0] == off[0][0] and on[1] == off[1]
+        assert all(np.array_equal(a, b) for a, b in zip(on[0][1], off[0][1], strict=True))
+
+
+def test_cli_does_not_load_the_sparse_matching():
+    # scipy.sparse.csgraph is imported where the candidate shift runs, not at start-up
+    src = str(Path(asg.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = "import sys, pointmatch.cli; print('scipy.sparse.csgraph' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
 # --- certified lower bound ------------------------------------------------------
 
 _EPS = np.finfo(np.float64).eps
