@@ -34,7 +34,6 @@ from .dyadic_transport import (
     build_map,
     build_tree,
     couple_two_clouds,
-    evaluate_map,
     map_cost,
 )
 from .experiments import recursion_audit
@@ -65,7 +64,6 @@ __all__ = [
     "count_in_box",
     "couple_two_clouds",
     "dual_lower_bound",
-    "evaluate_map",
     "fit_scaling",
     "hierarchical_potential",
     "lower_bound_functional",

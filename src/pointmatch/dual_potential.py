@@ -5,11 +5,16 @@ phi(x) = (rho_- - 1) * (zeta(x) - zeta(x - 1)) on [0, 2]; rescaled copies are
 planted on every dyadic box, weighted by the observed left/right count
 imbalance, and summed over levels. The resulting potential has zero spatial
 mean, vanishes with its gradient on all box boundaries, and its empirical-mean
-gap divided by its gradient supremum lower-bounds the matching cost. The
-supremum is estimated on a grid (see `INFLATION`), so the reported bound is
-only as sound as that estimate. This grid route is a library diagnostic; the
-`lower-bound` and `sandwich` subcommands report the certified bound of the
-exact solve (`assignment.optimal_with_dual`) instead.
+gap divided by its gradient supremum lower-bounds the matching cost.
+
+One evaluator walks the levels: `_level_stack` stacks every level's factors
+for a slice of points, and values, gradients and the gradient grid all go
+through it. The supremum is estimated on a grid (see `INFLATION`), so the
+reported bound is only as sound as that estimate. The grid evaluates every
+factor at every grid point, slower than a per-axis walk would be; that is
+accepted because the grid route is a library diagnostic: the `lower-bound`
+and `sandwich` subcommands report the certified bound of the exact solve
+(`assignment.optimal_with_dual`) instead.
 """
 
 from __future__ import annotations
@@ -29,8 +34,7 @@ from .dyadic_transport import (
 from .geometry import PointCloud
 
 ZETA_SCALE = 140.0  # normalizes int_0^1 x^3 (1-x)^3 dx = 1/140
-GRID_SLAB_POINTS = 1 << 15  # grid points per slab in grad_sq_on_grid
-EVAL_SLICE_POINTS = 1 << 12  # points per slice in potential_values and potential_eval_batch
+EVAL_SLICE_POINTS = 1 << 12  # points per slice in potential_values, potential_eval_batch and grad_sq_on_grid
 # sup |grad Phi|^2 is estimated as the grid maximum times INFLATION**2. This is a
 # heuristic, not a proven upper bound: the margin is meant to cover the residual
 # between the grid maximum and the true supremum, but a finer grid can exceed it
@@ -105,47 +109,6 @@ def hierarchical_potential(tree: DyadicTree, level: int | None = None) -> DualPo
     return DualPotential(tree=tree, level=tree.k_star if level is None else level)
 
 
-def _level_terms(p: DualPotential, xs: list, level: int, b, lo: list):
-    """Value and gradient contributions of the level-`level` potential.
-
-    xs holds one coordinate array per axis, and the arrays broadcast against
-    each other: all of shape (N,) for a batch of points, or each laid along
-    its own axis for a tensor grid, where every one-variable factor is then
-    evaluated once per axis value. b is the index of the level-(level-1) box
-    holding each point, lo one lower-corner array per axis shaped like that
-    axis's coordinates (a box's extent along axis i depends on coordinate i
-    alone). Returns (value, gradient per axis, child box index) and advances
-    lo in place to the child box, for the next level.
-    """
-    tree = p.tree
-    d, side = tree.dim, tree.side
-    c = split_coordinate(level, d)
-    lk = level_scale(level, d, side)
-    parent_sides = level_sides(level - 1, d, side)
-
-    amp = tree.rho_left(level)[b] - 1.0
-
-    u = (xs[c] - lo[c]) / lk
-    fu = _zeta_val(u) - _zeta_val(u - 1.0)
-    fu_d = _zeta_d1(u) - _zeta_d1(u - 1.0)
-
-    others = [i for i in range(d) if i != c]
-    ws = {i: (xs[i] - lo[i]) / parent_sides[i] for i in others}
-    zvals = {i: _zeta_val(w) for i, w in ws.items()}
-    zders = {i: _zeta_d1(w) for i, w in ws.items()}
-
-    scaled = lk**2 * amp * fu
-    value = _times_product(scaled, [zvals[i] for i in others])
-    grad = [None] * d
-    grad[c] = _times_product(lk * amp * fu_d, [zvals[i] for i in others])
-    for i in others:
-        grad[i] = _times_product(scaled * zders[i] / parent_sides[i], [zvals[j] for j in others if j != i])
-
-    go_right = (xs[c] >= lo[c] + lk).astype(np.int64)
-    lo[c] = lo[c] + go_right * lk
-    return value, grad, 2 * b + go_right
-
-
 def _times_product(a, factors: list):
     """a * (f_1 * f_2 * ...), the product taken first; a itself when there are no factors."""
     if not factors:
@@ -154,15 +117,6 @@ def _times_product(a, factors: list):
     for f in factors[1:]:
         prod = prod * f
     return a * prod
-
-
-def _level_walk(p: DualPotential, xs: list):
-    """Yield (value, gradient per axis) of each level's term at broadcasting coordinates xs."""
-    b = np.zeros((), dtype=np.int64)
-    lo = [np.zeros_like(x) for x in xs]
-    for level in range(1, p.level + 1):
-        value, grad, b = _level_terms(p, xs, level, b, lo)
-        yield value, grad
 
 
 def _level_stack(p: DualPotential, xs: np.ndarray):
@@ -343,31 +297,23 @@ def grad_sq_on_grid(p: DualPotential, spacing_divisor: int = 8):
     Returns (axis, values): the grid is the d-fold product of the axis values,
     which include the domain boundary where the potential vanishes
     identically, and the values are flat in `indexing="ij"` order. The grid
-    points themselves are never built. Every per-level factor depends on one
-    coordinate, so it is evaluated on the axis values alone and the grid only
-    sees broadcast products. The grid is walked in slabs of axis-0 values,
-    about GRID_SLAB_POINTS points each, so the per-level temporaries never
-    span the whole grid.
+    points are built and evaluated EVAL_SLICE_POINTS at a time by the stacked
+    evaluator behind `potential_eval_batch`, so the values are its gradients'
+    squared norms bit for bit and only one slice is held at a time. Each
+    bump factor is evaluated at every grid point rather than once per axis
+    value, about ten times the work of a per-axis walk; that is accepted
+    because no CLI subcommand calls the grid.
     """
     tree = p.tree
-    d, side = tree.dim, tree.side
-    h = level_scale(tree.k_star, d, side) / spacing_divisor
-    axis = np.linspace(0.0, side, int(round(side / h)) + 1)
-    shape = (axis.size,) * d
-    xs = [axis.reshape([-1 if j == i else 1 for j in range(d)]) for i in range(d)]
-    out = np.empty(shape)
-    rows = max(1, GRID_SLAB_POINTS // axis.size ** (d - 1))
-    for start in range(0, axis.size, rows):
-        slab = [xs[0][start : start + rows]] + xs[1:]
-        grads = [np.zeros((slab[0].shape[0],) + shape[1:]) for _ in range(d)]
-        for _, g in _level_walk(p, slab):
-            for acc, gi in zip(grads, g):
-                acc += gi
-        sq = out[start : start + rows]
-        np.square(grads[0], out=sq)
-        for g in grads[1:]:
-            sq += g**2
-    return axis, out.ravel()
+    h = level_scale(tree.k_star, tree.dim, tree.side) / spacing_divisor
+    axis = np.linspace(0.0, tree.side, int(round(tree.side / h)) + 1)
+    out = np.empty(axis.size**tree.dim)
+    for lo in range(0, out.size, EVAL_SLICE_POINTS):
+        flat = np.arange(lo, min(lo + EVAL_SLICE_POINTS, out.size))
+        index = np.unravel_index(flat, (axis.size,) * tree.dim)
+        _, grads = _values_and_gradients(p, axis[np.stack(index, axis=1)])
+        out[lo : lo + flat.size] = (grads**2).sum(axis=1)
+    return axis, out
 
 
 @dataclass(frozen=True)

@@ -305,18 +305,6 @@ def _descend(h: HierarchicalMap, xs: np.ndarray, record_levels: bool = False):
     return images, idx, history
 
 
-def evaluate_map(h: HierarchicalMap, x: np.ndarray) -> np.ndarray:
-    """Image T(x) of a single point; identity on (measure-zero) empty stopping boxes."""
-    images, _, _ = _descend(h, np.asarray(x, dtype=np.float64).reshape(1, -1))
-    return images[0]
-
-
-def map_images(h: HierarchicalMap, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Batch images and the matched sample index per probe."""
-    images, idx, _ = _descend(h, xs)
-    return images, idx
-
-
 def map_cost(h: HierarchicalMap, probes: int = 100_000, seed: int = 0) -> tuple[float, float]:
     """Monte Carlo estimate of (1/L^d) int |T(x) - x|^2 dx with its standard error."""
     if probes < MIN_COST_PROBES:

@@ -31,6 +31,8 @@ class PointCloud:
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=np.float64).reshape(-1, self.dim)
+        if not np.isfinite(pts).all():
+            raise ValueError("point coordinates must be finite")
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
 

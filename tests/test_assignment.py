@@ -305,9 +305,11 @@ def test_candidate_shift_skips_clouds_no_larger_than_k(shifts, n):
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("bad", [1e200, -1e200])
 def test_candidate_shift_passes_non_finite_entries_on_to_the_solver_check(shifts, bad):
-    # d = 12 at this N has no Poisson dual, so nothing before the shift rejects the point
+    # a finite coordinate whose square overflows: the cloud accepts it, its cost
+    # entries are +inf, and d = 12 at this N has no Poisson dual, so nothing
+    # before the shift rejects the point
     x, y = _pair(asg.CANDIDATE_MIN_N, 12, 27)
     pts = x.points.copy()
     pts[0, 0] = bad

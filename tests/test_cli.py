@@ -9,6 +9,8 @@ from pathlib import Path
 import pytest
 
 from pointmatch import cli
+from pointmatch import dual_potential as dp
+from pointmatch import dyadic_transport as dy
 from pointmatch.geometry import substream_seed
 
 
@@ -407,6 +409,42 @@ def test_recursion_audit_smoke(tmp_path, capsys):
     assert [row["level"] for row in payload["results"]] == list(range(5))  # k* = 4 for N = 16 in d = 1
     assert len(lines) == 6
     assert payload["fit"]["admissible_c"] == max(row["admissible_c"] for row in payload["results"])
+
+
+# small sizes for every subcommand; --dim and --seed are added per run
+_ROUTE_ARGV = {
+    "sample": ["--n", "16"],
+    "match": ["--n", "8"],
+    "upper-bound": ["--n", "32", "--seeds", "2"],
+    "lower-bound": ["--n", "32", "--seeds", "2"],
+    "sandwich": ["--n", "32", "--seeds", "2"],
+    "scaling": ["--n", "8,16,32", "--trials", "2"],
+    "recursion-audit": ["--n", "32", "--trials", "2"],
+    "lemma-check": ["--n", "50", "--theta", "0.25", "--trials", "2"],
+}
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("subcommand", cli._COMMANDS)
+def test_subcommands_call_no_grid_or_monte_carlo_route(capsys, monkeypatch, subcommand, dim):
+    # the sup-gradient grid and the Monte Carlo map estimators are library
+    # diagnostics: no subcommand may reach them
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a subcommand reached a library-only route")
+
+    for module, name in [
+        (dp, "grad_sq_on_grid"),
+        (dp, "lower_bound_functional"),
+        (dp, "dual_lower_bound"),
+        (dy, "map_cost"),
+        (dy, "couple_two_clouds"),
+        (dy, "_descend"),
+    ]:
+        monkeypatch.setattr(module, name, forbidden)
+    workers = ["--workers", "1"] if "workers" in cli.OPTIONS[subcommand] else []
+    argv = [subcommand, "--dim", str(dim), "--seed", "3", *_ROUTE_ARGV[subcommand], *workers]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 0, err
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

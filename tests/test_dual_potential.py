@@ -15,6 +15,8 @@ from pointmatch import cli
 from pointmatch import dual_potential as dp
 from pointmatch import dyadic_transport as dy
 from pointmatch import geometry as geo
+from pointmatch.dual_potential import DualPotential, _times_product, _zeta_d1, _zeta_val
+from pointmatch.dyadic_transport import level_scale, level_sides, split_coordinate
 
 
 def _cloud_from(points, side=1.0):
@@ -145,11 +147,64 @@ def test_level_terms_vanish_on_parent_box_boundaries():
             assert np.allclose(g_hi - g_lo, 0.0, atol=1e-12)
 
 
+# --- the level-by-level walk, oracle of the stacked evaluator ----------------------
+
+
+def _level_terms(p: DualPotential, xs: list, level: int, b, lo: list):
+    """Value and gradient contributions of the level-`level` potential.
+
+    xs holds one coordinate array per axis, and the arrays broadcast against
+    each other: all of shape (N,) for a batch of points, or each laid along
+    its own axis for a tensor grid, where every one-variable factor is then
+    evaluated once per axis value. b is the index of the level-(level-1) box
+    holding each point, lo one lower-corner array per axis shaped like that
+    axis's coordinates (a box's extent along axis i depends on coordinate i
+    alone). Returns (value, gradient per axis, child box index) and advances
+    lo in place to the child box, for the next level.
+    """
+    tree = p.tree
+    d, side = tree.dim, tree.side
+    c = split_coordinate(level, d)
+    lk = level_scale(level, d, side)
+    parent_sides = level_sides(level - 1, d, side)
+
+    amp = tree.rho_left(level)[b] - 1.0
+
+    u = (xs[c] - lo[c]) / lk
+    fu = _zeta_val(u) - _zeta_val(u - 1.0)
+    fu_d = _zeta_d1(u) - _zeta_d1(u - 1.0)
+
+    others = [i for i in range(d) if i != c]
+    ws = {i: (xs[i] - lo[i]) / parent_sides[i] for i in others}
+    zvals = {i: _zeta_val(w) for i, w in ws.items()}
+    zders = {i: _zeta_d1(w) for i, w in ws.items()}
+
+    scaled = lk**2 * amp * fu
+    value = _times_product(scaled, [zvals[i] for i in others])
+    grad = [None] * d
+    grad[c] = _times_product(lk * amp * fu_d, [zvals[i] for i in others])
+    for i in others:
+        grad[i] = _times_product(scaled * zders[i] / parent_sides[i], [zvals[j] for j in others if j != i])
+
+    go_right = (xs[c] >= lo[c] + lk).astype(np.int64)
+    lo[c] = lo[c] + go_right * lk
+    return value, grad, 2 * b + go_right
+
+
+def _level_walk(p: DualPotential, xs: list):
+    """Yield (value, gradient per axis) of each level's term at broadcasting coordinates xs."""
+    b = np.zeros((), dtype=np.int64)
+    lo = [np.zeros_like(x) for x in xs]
+    for level in range(1, p.level + 1):
+        value, grad, b = _level_terms(p, xs, level, b, lo)
+        yield value, grad
+
+
 def _walk_batch(pot, xs):
     """Values and gradients of Phi by the level-by-level walk, one level's arrays at a time."""
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     values, grads = np.zeros(xs.shape[0]), np.zeros_like(xs)
-    for v, g in dp._level_walk(pot, list(xs.T)):
+    for v, g in _level_walk(pot, list(xs.T)):
         values += v
         for i, gi in enumerate(g):
             grads[:, i] += gi
@@ -195,26 +250,54 @@ def test_evaluation_in_slices_is_bit_identical_to_one_slice(dim, monkeypatch):
     assert np.array_equal(_bits(dp.potential_values(pot, pts)), _bits(want_alone))
 
 
+# A probe reads its own resident high-water mark (VmHWM, in KiB). Its
+# ru_maxrss would start at the parent's resident size at the fork, which
+# hides any growth below that: under a 400 MB parent it read 0 for the
+# whole-grid evaluation below.
+_PEAK_KIB = """
+def peak_kib():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+"""
+
 _EVAL_RSS_PROBE = """
-import resource
 import numpy as np
 from pointmatch import dual_potential as dp, dyadic_transport as dy, geometry as geo
 pot = dp.hierarchical_potential(dy.build_tree(geo.sample_uniform(1 << 12, 1.0, 3, geo.substream_seed(8, 0))))
 xs = np.random.default_rng(0).random((200_000, 3))
-before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+before = peak_kib()
 dp.potential_eval_batch(pot, xs)
 dp.potential_values(pot, xs)
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+print(peak_kib() - before)
 """
+
+
+_GRID_RSS_PROBE = """
+from pointmatch import dual_potential as dp, dyadic_transport as dy, geometry as geo
+pot = dp.hierarchical_potential(dy.build_tree(geo.sample_uniform(512, 1.0, 3, geo.substream_seed(8, 0))))
+before = peak_kib()
+axis, _ = dp.grad_sq_on_grid(pot)
+assert axis.size == 65
+print(peak_kib() - before)
+"""
+
+
+def _peak_growth_mb(probe: str) -> float:
+    """Peak RSS growth of a fresh interpreter running the probe, in MB."""
+    src = str(Path(dp.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", _PEAK_KIB + probe], env=env, capture_output=True, text=True, check=True)
+    return int(out.stdout) / 1024
 
 
 def test_potential_evaluation_peak_memory_is_bounded():
     # d = 3, 10 levels, 200,000 points: evaluating every point at once grew the peak by about 400 MB
-    src = str(Path(dp.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", _EVAL_RSS_PROBE], env=env, capture_output=True, text=True, check=True)
-    growth_mb = int(out.stdout) / 1024  # ru_maxrss is in KiB on Linux
-    assert growth_mb < 60
+    assert _peak_growth_mb(_EVAL_RSS_PROBE) < 60
+
+
+def test_gradient_grid_peak_memory_is_bounded():
+    # d = 3, N = 512, 65^3 = 274,625 grid points: evaluating the whole grid at once grew the peak by about 400 MB
+    assert _peak_growth_mb(_GRID_RSS_PROBE) < 60
 
 
 def test_lower_bound_gain_builds_no_gradient(capsys, monkeypatch):

@@ -147,8 +147,8 @@ def test_symmetrized_defect_extreme_density_bounded():
 def test_map_single_point_absorbs_everything():
     cloud = geo.sample_uniform(1, 1.0, 2, 12)
     h = dy.build_map(cloud)
-    for probe in np.random.default_rng(0).random((20, 2)):
-        assert np.allclose(dy.evaluate_map(h, probe), cloud.points[0])
+    images, _, _ = dy._descend(h, np.random.default_rng(0).random((20, 2)))
+    assert np.allclose(images, cloud.points[0])
 
 
 def test_balanced_cloud_reduces_to_last_mile():
@@ -161,7 +161,7 @@ def test_balanced_cloud_reduces_to_last_mile():
     assert tree.k_star == 2
     assert all(rho == 1.0 for rho in tree.rho_left(1))
     probes = np.random.default_rng(1).random((200, 1))
-    images, idx = dy.map_images(h, probes)
+    images, idx, _ = dy._descend(h, probes)
     # each probe lands on the unique point of its own stopping box
     expected = pts[(probes[:, 0] * 4).astype(int), 0]
     assert np.allclose(images[:, 0], expected)
@@ -175,7 +175,7 @@ def test_map_preimages_have_equal_volume():
     h = dy.build_map(cloud)
     rng = np.random.default_rng(42)
     xs = rng.random((probes, 2))
-    _, idx = dy.map_images(h, xs)
+    _, idx, _ = dy._descend(h, xs)
     assert np.all(idx >= 0)
     frac = np.bincount(idx, minlength=n) / probes
     se = math.sqrt((1.0 / n) * (1.0 - 1.0 / n) / probes)
@@ -295,7 +295,7 @@ def test_preimage_boxes_map_onto_their_points(dim, n):
     np.testing.assert_allclose((upper - lower).prod(axis=1), 2.5**dim / n, rtol=1e-12)
     # random points strictly inside each box are sent to that box's own point
     inside = lower + np.random.default_rng(n).uniform(0.01, 0.99, lower.shape) * (upper - lower)
-    _, idx = dy.map_images(h, inside)
+    _, idx, _ = dy._descend(h, inside)
     assert np.array_equal(idx, np.arange(n))
 
 

@@ -129,3 +129,16 @@ def test_sample_uniform_rejects_seed_outside_64_bits(seed):
     with pytest.raises(ValueError, match="seed"):
         geo.sample_uniform(4, 1.0, 2, seed)
     geo.sample_uniform(4, 1.0, 2, 2**64 - 1)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("dim, n", [(3, 64), (12, 1024)])
+def test_point_cloud_rejects_non_finite_coordinates(dim, n, bad):
+    # such a point used to fail deep inside the exact solve: in the Poisson
+    # dual's grid lookup at d = 3, N = 64, in the solver's own check at d = 12
+    pts = geo.sample_uniform(n, 1.0, dim, 7).points.copy()
+    pts[n // 2, dim - 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        geo.PointCloud(dim=dim, side=1.0, points=pts, seed=7)
+    pts[n // 2, dim - 1] = 1e200  # finite, however far outside the box
+    assert geo.PointCloud(dim=dim, side=1.0, points=pts, seed=7).n == n
