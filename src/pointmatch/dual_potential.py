@@ -26,9 +26,7 @@ import numpy as np
 from .assignment import _check_pair
 from .dyadic_transport import (
     DyadicTree,
-    box_corners,
     level_scale,
-    level_sides,
     split_coordinate,
 )
 from .geometry import PointCloud
@@ -256,25 +254,20 @@ def integral_against_density(p: DualPotential, at_level: int | None = None) -> f
         raise ValueError("density level must be at least the potential level")
     d, side, n = tree.dim, tree.side, tree.cloud.n
 
-    idx = np.arange(2**k, dtype=np.int64)
     weights = tree.counts[k] / n  # mass of each level-k box under rho_k
-    nonzero = weights > 0
-    idx = idx[nonzero]
-    weights = weights[nonzero]
-    corners = box_corners(k, idx, d, side)
-    sides_k = level_sides(k, d, side)
-    vol_k = float(np.prod(sides_k))
+    idx = np.flatnonzero(weights)
+    weights = weights[idx]
+    lo, hi = (corners[idx] for corners in tree.boxes[k])
+    density = weights / (hi - lo).prod(axis=1)
 
     total = 0.0
     for level in range(1, p.level + 1):
         c = split_coordinate(level, d)
         lk = level_scale(level, d, side)
-        parent_sides = level_sides(level - 1, d, side)
         parents = idx >> (k - (level - 1))
         amp = tree.rho_left(level)[parents] - 1.0
-        corners_parent = box_corners(level - 1, parents, d, side)
-        a = corners - corners_parent
-        bnd = a + sides_k
+        lo_parent, hi_parent = (corners[parents] for corners in tree.boxes[level - 1])
+        a, bnd, parent_sides = lo - lo_parent, hi - lo_parent, hi_parent - lo_parent
 
         ua, ub = a[:, c] / lk, bnd[:, c] / lk
         ic = lk * (
@@ -285,9 +278,9 @@ def integral_against_density(p: DualPotential, at_level: int | None = None) -> f
         for i in range(d):
             if i == c:
                 continue
-            s = parent_sides[i]
+            s = parent_sides[:, i]
             factor = factor * s * (zeta_antiderivative(bnd[:, i] / s) - zeta_antiderivative(a[:, i] / s))
-        total += float((weights / vol_k * factor).sum())
+        total += float((density * factor).sum())
     return total
 
 

@@ -63,22 +63,6 @@ def stopping_level(n: int, dim: int) -> int:
     return dim * (j - 1) + 1 if j > 0 else 0
 
 
-def box_corners(level: int, idx: np.ndarray, dim: int, side: float) -> np.ndarray:
-    """Lower corners of the boxes with the given indices at a level.
-
-    Bit l of an index (most significant first) says whether the box sits in the
-    upper half of the level-l split.
-    """
-    idx = np.asarray(idx, dtype=np.int64)
-    corners = np.zeros((idx.shape[0], dim))
-    for l in range(1, level + 1):
-        c = split_coordinate(l, dim)
-        child_side = side * 2.0 ** (-((l - 1) // dim + 1))
-        bit = (idx >> (level - l)) & 1
-        corners[:, c] += bit * child_side
-    return corners
-
-
 # ---------------------------------------------------------------------------
 # The dyadic tree with per-box counts.
 
@@ -114,6 +98,18 @@ class DyadicTree:
     def rho_left(self, level: int) -> np.ndarray:
         """rho_heap of every level-(level-1) box."""
         return self.rho_heap[(1 << (level - 1)) - 1 : (1 << level) - 1]
+
+    @cached_property
+    def boxes(self) -> tuple:
+        """(lower, upper corners) of every level-k box, k = 0..k*, by box index;
+        computed once per tree, read-only."""
+        return _levels(self, lambda level: 0.5)
+
+    @cached_property
+    def preimages(self) -> tuple:
+        """(lower, upper corners) of every level-k box's preimage under S_k,
+        k = 0..k*, by box index; computed once per tree, read-only."""
+        return _levels(self, lambda level: self.rho_left(level) / 2.0)
 
 
 def box_index_of_points(points: np.ndarray, side: float, dim: int, level: int) -> np.ndarray:
@@ -235,31 +231,20 @@ class HierarchicalMap:
     box_offsets: np.ndarray = field(repr=False)  # CSR-style offsets per stopping box
 
     @cached_property
-    def preimage_levels(self) -> tuple:
-        """(lower, upper corners) of every level-k box's preimage under S_k, for
-        k = 0..k*; computed once per map, read-only."""
-        levels = [_domain(self.tree)]
-        for level in range(1, self.tree.k_star + 1):
-            levels.append(_split_preimages(self.tree, level, *levels[-1]))
-        return tuple(_read_only(*corners) for corners in levels)
-
-    @cached_property
     def point_preimages(self) -> tuple:
-        """(lower, upper corners) of T^(-1)(X_n) by point id; computed once per map, read-only."""
-        return _read_only(*_point_preimages(self, *self.preimage_levels[-1]))
+        """(lower, upper corners) of T^(-1)(X_n) by point id, each of volume
+        L^d/N; computed once per map, read-only."""
+        return _read_only(*_point_preimages(self, *self.tree.preimages[-1]))
 
 
-def hierarchical_map(tree: DyadicTree) -> HierarchicalMap:
-    pts = tree.cloud.points
+def build_map(cloud: PointCloud) -> HierarchicalMap:
+    tree = build_tree(cloud)
+    pts = cloud.points
     keys = tuple(pts[:, i] for i in range(tree.dim - 1, -1, -1)) + (tree.point_box,)
     order = np.lexsort(keys)
     sorted_box = tree.point_box[order]
     offsets = np.searchsorted(sorted_box, np.arange(2**tree.k_star + 1))
     return HierarchicalMap(tree=tree, cell_order=order, box_offsets=offsets)
-
-
-def build_map(cloud: PointCloud) -> HierarchicalMap:
-    return hierarchical_map(build_tree(cloud))
 
 
 def _descend(h: HierarchicalMap, xs: np.ndarray, record_levels: bool = False):
@@ -378,9 +363,14 @@ def _split(level: int, lo: np.ndarray, hi: np.ndarray, frac):
     return lo, hi
 
 
-def _split_preimages(tree: DyadicTree, level: int, lo: np.ndarray, hi: np.ndarray):
-    """Corners of the level-`level` box preimages under S_level from their parents'."""
-    return _split(level, lo, hi, tree.rho_left(level) / 2.0)
+def _levels(tree: DyadicTree, frac) -> tuple:
+    """(lower, upper corners) of the boxes of every level k = 0..k*, read-only:
+    level 0 is the domain and each level splits the one above it, the left
+    child taking the fraction frac(k) of its parent."""
+    levels = [(np.zeros((1, tree.dim)), np.full((1, tree.dim), tree.side))]
+    for level in range(1, tree.k_star + 1):
+        levels.append(_split(level, *levels[-1], frac(level)))
+    return tuple(_read_only(*corners) for corners in levels)
 
 
 def _point_preimages(h: HierarchicalMap, lo_box: np.ndarray, hi_box: np.ndarray):
@@ -399,10 +389,6 @@ def _point_preimages(h: HierarchicalMap, lo_box: np.ndarray, hi_box: np.ndarray)
     return lower, upper
 
 
-def _domain(tree: DyadicTree):
-    return np.zeros((1, tree.dim)), np.full((1, tree.dim), tree.side)
-
-
 def _read_only(*arrays: np.ndarray) -> tuple:
     for a in arrays:
         a.flags.writeable = False
@@ -413,19 +399,13 @@ def _centre_width(lo: np.ndarray, hi: np.ndarray):
     return (lo + hi) / 2.0, hi - lo
 
 
-def preimage_boxes(h: HierarchicalMap) -> tuple[np.ndarray, np.ndarray]:
-    """Lower and upper corners of T^(-1)(X_n) for every sample point, read-only;
-    each box has volume L^d/N."""
-    return h.point_preimages
-
-
 def map_cost_exact(h: HierarchicalMap) -> float:
     """(1/L^d) int |T(x) - x|^2 dx in closed form.
 
     T is constant on each preimage box (centre c_n, widths w_n, volume L^d/N),
     so the integral is (1/N) sum_n (|X_n - c_n|^2 + sum_i w_(n,i)^2 / 12).
     """
-    centres, widths = _centre_width(*preimage_boxes(h))
+    centres, widths = _centre_width(*h.point_preimages)
     sq = ((h.tree.cloud.points - centres) ** 2).sum(axis=1) + (widths**2).sum(axis=1) / 12.0
     return float(sq.mean())
 
@@ -471,12 +451,12 @@ def _overlapping_boxes(t: HierarchicalMap, s: HierarchicalMap):
     a = b = np.zeros(1, dtype=np.int64)
     for level in range(1, tx.k_star + 1):
         c = split_coordinate(level, tx.dim)
-        (lo_t, hi_t), (lo_s, hi_s) = t.preimage_levels[level], s.preimage_levels[level]
+        (lo_t, hi_t), (lo_s, hi_s) = tx.preimages[level], ty.preimages[level]
         a = (2 * a[:, None] + np.array([0, 0, 1, 1])).ravel()
         b = (2 * b[:, None] + np.array([0, 1, 0, 1])).ravel()
         keep = np.minimum(hi_t[a, c], hi_s[b, c]) > np.maximum(lo_t[a, c], lo_s[b, c])
         a, b = a[keep], b[keep]
-    return a, b, t.preimage_levels[-1], s.preimage_levels[-1]
+    return a, b, tx.preimages[-1], ty.preimages[-1]
 
 
 def _coupling_chunks(t: HierarchicalMap, s: HierarchicalMap):
@@ -582,13 +562,9 @@ def level_costs_exact(tree: DyadicTree) -> tuple[np.ndarray, np.ndarray]:
     (c_Q - c_P).(c_B - c_Q) + sum_i (w_Q - w_P)(w_B - w_Q) / 12 to the second.
     """
     sq, cross = np.zeros(tree.k_star + 1), np.zeros(tree.k_star + 1)
-    lo_p, hi_p = lo_b, hi_b = _domain(tree)
     for level in range(1, tree.k_star + 1):
-        frac = tree.rho_left(level) / 2.0
-        c_q, w_q = _centre_width(*_split(level, lo_b, hi_b, frac))
-        lo_p, hi_p = _split(level, lo_p, hi_p, frac)
-        lo_b, hi_b = _split(level, lo_b, hi_b, 0.5)
-        (c_p, w_p), (c_b, w_b) = _centre_width(lo_p, hi_p), _centre_width(lo_b, hi_b)
+        c_q, w_q = _centre_width(*_split(level, *tree.boxes[level - 1], tree.rho_left(level) / 2.0))
+        (c_p, w_p), (c_b, w_b) = _centre_width(*tree.preimages[level]), _centre_width(*tree.boxes[level])
         weight = w_p.prod(axis=1) / tree.side**tree.dim
         sq[level] = weight @ (((c_b - c_p) ** 2).sum(axis=1) + ((w_b - w_p) ** 2).sum(axis=1) / 12.0)
         cross[level] = weight @ (

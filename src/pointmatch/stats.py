@@ -4,9 +4,10 @@
 trial t of a run gets seed `trial_seeds(master, count)[t]`. With w workers (by
 default one per CPU this process may run on) the trials are cut into w
 contiguous shares: this process runs share 0 and w - 1 forked children, each
-pinned to a CPU other than this process's, run the rest, and only the results
-are pickled back. Results come back in trial order. Each trial depends on its
-seed alone, so outputs are bit-identical for every worker count.
+pinned to a CPU other than this process's, run the rest, and each sends only
+its share's results back, in one pickle. Results come back in trial order.
+Each trial depends on its seed alone, so outputs are bit-identical for every
+worker count.
 """
 
 from __future__ import annotations
@@ -16,9 +17,7 @@ import math
 import mmap
 import os
 import pickle
-import queue
 import signal
-import threading
 import traceback
 from dataclasses import dataclass
 
@@ -94,13 +93,8 @@ def _run_trial(observable, trial: int, seed: int):
         raise TrialError(trial, seed, repr(exc)) from exc
 
 
-def _write_pickles(pickles: queue.SimpleQueue, out) -> None:
-    for payload in iter(pickles.get, None):
-        out.write(payload)
-
-
 class _Child:
-    """A forked child that runs trials lo..hi-1 and pickles each result to a pipe."""
+    """A forked child that runs trials lo..hi-1 and sends their results back in one pickle."""
 
     def __init__(self, observable, seeds: list, lo: int, hi: int, cpu: int | None = None):
         self.seeds, self.lo, self.hi = seeds, lo, hi
@@ -116,7 +110,7 @@ class _Child:
                         os.sched_setaffinity(0, {cpu})
                 os.close(read_fd)
                 with os.fdopen(write_fd, "wb") as out:
-                    self._run(observable, out)
+                    pickle.dump(self._run(observable), out, pickle.HIGHEST_PROTOCOL)
                 status = 0
             except Exception:  # noqa: BLE001 - shown here; the parent names the trial
                 traceback.print_exc()
@@ -124,46 +118,35 @@ class _Child:
                 os._exit(status)
         os.close(write_fd)
         self.pipe = os.fdopen(read_fd, "rb")
-        self.reaped = False
+        self.sent = self.reaped = False  # sent: its pickle was read
 
-    def _run(self, observable, out) -> None:
-        """In the child: one pickle per result, stopping after the first TrialError, which is pickled instead.
-
-        A thread writes the pickles, so the trials need not wait for a parent
-        that reads this share after its own.
-        """
-        pickles = queue.SimpleQueue()
-        writer = threading.Thread(target=_write_pickles, args=(pickles, out))
-        writer.start()
-        try:
-            for t in range(self.lo, self.hi):
-                self.running[0] = t
-                try:
-                    result = _run_trial(observable, t, self.seeds[t])
-                except TrialError as err:
-                    pickles.put(pickle.dumps(err))
-                    break
-                pickles.put(pickle.dumps(result, pickle.HIGHEST_PROTOCOL))
-        finally:
-            pickles.put(None)
-            writer.join()
+    def _run(self, observable) -> tuple:
+        """In the child: (results, error) of the share, stopping at the first TrialError."""
+        results = []
+        for t in range(self.lo, self.hi):
+            self.running[0] = t
+            try:
+                results.append(_run_trial(observable, t, self.seeds[t]))
+            except TrialError as err:
+                return results, err
+        return results, None
 
     def results(self):
         """Yield the child's results in trial order and raise its TrialError.
 
-        If the pipe ends early, the child died: the error names the trial it
-        was running, whose seed reproduces the death.
+        If the pickle does not arrive whole, the child died: the error names
+        the trial it was running, whose seed reproduces the death.
         """
-        for _ in range(self.lo, self.hi):
-            try:
-                result = pickle.load(self.pipe)
-            except (EOFError, pickle.UnpicklingError):
-                code = self._wait()
-                t = self.running[0]
-                raise TrialError(t, self.seeds[t], f"worker exited with status {code}") from None
-            if isinstance(result, TrialError):
-                raise result
-            yield result
+        try:
+            results, error = pickle.load(self.pipe)
+        except (EOFError, pickle.UnpicklingError):
+            code = self._wait()
+            t = self.running[0]
+            raise TrialError(t, self.seeds[t], f"worker exited with status {code}") from None
+        self.sent = True
+        yield from results
+        if error is not None:
+            raise error
 
     def _wait(self) -> int:
         """Reap the child; its exit code, -n if signal n killed it."""
@@ -172,8 +155,10 @@ class _Child:
         return os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
 
     def stop(self) -> None:
+        """Reap the child, killing it first if its pickle was not read."""
         if not self.reaped:
-            os.kill(self.pid, signal.SIGKILL)
+            if not self.sent:
+                os.kill(self.pid, signal.SIGKILL)
             self._wait()
 
 
@@ -210,12 +195,12 @@ def map_trials(observable, seeds, workers: int | None = None):
     trials are cut into w contiguous shares. This process runs share 0 and
     yields its results as they come; w - 1 forked children, each pinned to a
     CPU of its own while CPUs last (`_child_cpus`), run the others, each
-    pickling its results one by one to a pipe that is read in trial
-    order. The children inherit the observable, so only results need to
-    pickle. With one worker, or where os.fork does not exist, the trials run
-    in this process. The first failing trial raises TrialError, and so does
-    the trial a child dies in. Children still running when the map ends,
-    fails or is closed are killed and reaped.
+    sending its share's results in one pickle down a pipe; the pipes are
+    read in trial order. The children inherit the observable, so only
+    results need to pickle. With one worker, or where os.fork does not
+    exist, the trials run in this process. The first failing trial raises
+    TrialError, and so does the trial a child dies in. Children still
+    running when the map ends, fails or is closed are killed and reaped.
     """
     seeds = list(seeds)
     workers = min(default_workers() if workers is None else workers, len(seeds))

@@ -434,23 +434,18 @@ def test_staircase_dual_rejects_d2():
 
 
 _OPTIMUM_RSS_PROBE = """
-import resource
 from pointmatch import assignment as asg, geometry as geo
 x, y = (geo.sample_uniform(4096, 1.0, 3, geo.substream_seed(7, i)) for i in (0, 1))
 asg.optimal_cost(*(geo.sample_uniform(64, 1.0, 3, i) for i in (0, 1)))
-before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+before = peak_kib()
 asg.optimal_cost(x, y)
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+print(peak_kib() - before)
 """
 
 
-def test_optimal_cost_peak_memory_is_one_cost_matrix():
+def test_optimal_cost_peak_memory_is_one_cost_matrix(peak_growth_mb):
     # d = 3, N = 4096: a second N x N array (the potential subtracted out of place) would double the growth
-    src = str(Path(asg.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", _OPTIMUM_RSS_PROBE], env=env, capture_output=True, text=True, check=True)
-    growth_bytes = int(out.stdout) * 1024  # ru_maxrss is in KiB on Linux
-    assert growth_bytes < 1.2 * 8 * 4096**2
+    assert peak_growth_mb(_OPTIMUM_RSS_PROBE) * 2**20 < 1.2 * 8 * 4096**2
 
 
 # --- LP --------------------------------------------------------------------

@@ -1,9 +1,5 @@
 import json
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -250,16 +246,6 @@ def test_evaluation_in_slices_is_bit_identical_to_one_slice(dim, monkeypatch):
     assert np.array_equal(_bits(dp.potential_values(pot, pts)), _bits(want_alone))
 
 
-# A probe reads its own resident high-water mark (VmHWM, in KiB). Its
-# ru_maxrss would start at the parent's resident size at the fork, which
-# hides any growth below that: under a 400 MB parent it read 0 for the
-# whole-grid evaluation below.
-_PEAK_KIB = """
-def peak_kib():
-    with open("/proc/self/status") as status:
-        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
-"""
-
 _EVAL_RSS_PROBE = """
 import numpy as np
 from pointmatch import dual_potential as dp, dyadic_transport as dy, geometry as geo
@@ -282,22 +268,14 @@ print(peak_kib() - before)
 """
 
 
-def _peak_growth_mb(probe: str) -> float:
-    """Peak RSS growth of a fresh interpreter running the probe, in MB."""
-    src = str(Path(dp.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", _PEAK_KIB + probe], env=env, capture_output=True, text=True, check=True)
-    return int(out.stdout) / 1024
-
-
-def test_potential_evaluation_peak_memory_is_bounded():
+def test_potential_evaluation_peak_memory_is_bounded(peak_growth_mb):
     # d = 3, 10 levels, 200,000 points: evaluating every point at once grew the peak by about 400 MB
-    assert _peak_growth_mb(_EVAL_RSS_PROBE) < 60
+    assert peak_growth_mb(_EVAL_RSS_PROBE) < 60
 
 
-def test_gradient_grid_peak_memory_is_bounded():
+def test_gradient_grid_peak_memory_is_bounded(peak_growth_mb):
     # d = 3, N = 512, 65^3 = 274,625 grid points: evaluating the whole grid at once grew the peak by about 400 MB
-    assert _peak_growth_mb(_GRID_RSS_PROBE) < 60
+    assert peak_growth_mb(_GRID_RSS_PROBE) < 60
 
 
 def test_lower_bound_gain_builds_no_gradient(capsys, monkeypatch):

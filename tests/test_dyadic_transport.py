@@ -1,8 +1,4 @@
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -291,7 +287,7 @@ def _map_pair(n, dim, seed, side=1.0):
 @pytest.mark.parametrize("dim, n", [(1, 64), (2, 256), (3, 512), (2, 5), (3, 1)])
 def test_preimage_boxes_map_onto_their_points(dim, n):
     h = dy.build_map(geo.sample_uniform(n, 2.5, dim, 70 + n))
-    lower, upper = dy.preimage_boxes(h)
+    lower, upper = h.point_preimages
     np.testing.assert_allclose((upper - lower).prod(axis=1), 2.5**dim / n, rtol=1e-12)
     # random points strictly inside each box are sent to that box's own point
     inside = lower + np.random.default_rng(n).uniform(0.01, 0.99, lower.shape) * (upper - lower)
@@ -335,16 +331,42 @@ def test_coupling_exact_identical_clouds_is_diagonal():
 
 def test_preimage_boxes_are_the_level_walk_cached_read_only():
     h = dy.build_map(geo.sample_uniform(300, 2.5, 3, 71))
-    lo, hi = dy._domain(h.tree)
-    for level in range(1, h.tree.k_star + 1):
-        lo, hi = dy._split_preimages(h.tree, level, lo, hi)
-        assert np.array_equal(h.preimage_levels[level][0], lo) and np.array_equal(h.preimage_levels[level][1], hi)
-    lower, upper = dy.preimage_boxes(h)
-    want_lower, want_upper = dy._point_preimages(h, lo, hi)
+    tree = h.tree
+    walks = {"boxes": lambda level: 0.5, "preimages": lambda level: tree.rho_left(level) / 2.0}
+    for name, frac in walks.items():
+        levels = getattr(tree, name)
+        assert getattr(tree, name) is levels
+        assert len(levels) == tree.k_star + 1
+        lo, hi = np.zeros((1, 3)), np.full((1, 3), 2.5)
+        for level, (got_lo, got_hi) in enumerate(levels):
+            if level > 0:
+                lo, hi = dy._split(level, lo, hi, frac(level))
+            assert np.array_equal(got_lo, lo) and np.array_equal(got_hi, hi)
+            assert not got_lo.flags.writeable and not got_hi.flags.writeable
+        with pytest.raises(ValueError):
+            levels[-1][0][0, 0] = 0.0
+    lower, upper = h.point_preimages
+    want_lower, want_upper = dy._point_preimages(h, *tree.preimages[-1])
     assert np.array_equal(lower, want_lower) and np.array_equal(upper, want_upper)
-    assert dy.preimage_boxes(h)[0] is lower
+    assert h.point_preimages[0] is lower
     with pytest.raises(ValueError):
         lower[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("side", [1.0, 2.5, 0.3])
+@pytest.mark.parametrize("dim, n", [(1, 64), (2, 256), (3, 512), (2, 5), (3, 1), (4, 300)])
+def test_tree_boxes_and_preimages_tile_the_domain(dim, n, side):
+    tree = dy.build_tree(geo.sample_uniform(n, side, dim, 140 + n))
+    lo, hi = tree.boxes[tree.k_star]
+    pts = tree.cloud.points
+    assert np.all(lo[tree.point_box] <= pts) and np.all(pts <= hi[tree.point_box])
+    for level in range(tree.k_star + 1):
+        (lo_b, hi_b), (lo_p, hi_p) = tree.boxes[level], tree.preimages[level]
+        widths = hi_b - lo_b
+        np.testing.assert_allclose(widths, np.tile(dy.level_sides(level, dim, side), (2**level, 1)), rtol=1e-12)
+        assert widths.prod(axis=1).sum() == pytest.approx(side**dim, rel=1e-12)
+        want = side**dim * tree.counts[level] / n
+        np.testing.assert_allclose((hi_p - lo_p).prod(axis=1), want, rtol=1e-12, atol=1e-15 * side**dim)
 
 
 @pytest.mark.parametrize("kind", ["unit", "wide", "signed", "tiny"])
@@ -433,23 +455,18 @@ def test_merged_slab_pairs_equal_all_pairs_on_coinciding_edges(dim, m):
 
 
 _COUPLING_RSS_PROBE = """
-import resource
 from pointmatch import dyadic_transport as dy, geometry as geo
 x, y = (geo.sample_uniform(1 << 16, 1.0, 3, geo.substream_seed(7, 0, i)) for i in (0, 1))
 t, s = dy.build_map(x), dy.build_map(y)
-before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+before = peak_kib()
 dy.coupling_cost_exact(t, s)
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+print(peak_kib() - before)
 """
 
 
-def test_coupling_cost_exact_peak_memory_is_bounded():
+def test_coupling_cost_exact_peak_memory_is_bounded(peak_growth_mb):
     # d = 3, N = 2^16: expanding every candidate point pair at once grew the peak by about 560 MB
-    src = str(Path(dy.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", _COUPLING_RSS_PROBE], env=env, capture_output=True, text=True, check=True)
-    growth_mb = int(out.stdout) / 1024  # ru_maxrss is in KiB on Linux
-    assert growth_mb < 150
+    assert peak_growth_mb(_COUPLING_RSS_PROBE) < 150
 
 
 def test_coupling_exact_rejects_mismatched_clouds():
