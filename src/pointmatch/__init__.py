@@ -16,7 +16,7 @@ from .assignment import (
     monotone_matching_1d,
     round_to_permutation,
 )
-from .binomial import BoxCount, concentration_check, count_in_box, moment_bounds
+from .binomial import count_in_box, lemma_check, moment_bounds
 from .dual_potential import (
     DualPotential,
     dual_lower_bound,
@@ -44,7 +44,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Box",
-    "BoxCount",
     "CostMatrix",
     "DualPotential",
     "DyadicTree",
@@ -59,13 +58,13 @@ __all__ = [
     "block_map_symmetrized_defect",
     "build_map",
     "build_tree",
-    "concentration_check",
     "cost_matrix",
     "count_in_box",
     "couple_two_clouds",
     "dual_lower_bound",
     "fit_scaling",
     "hierarchical_potential",
+    "lemma_check",
     "lower_bound_functional",
     "map_cost",
     "match_bruteforce",

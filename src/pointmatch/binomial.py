@@ -1,44 +1,24 @@
-"""Counting statistics of points in sub-boxes: moments and concentration bounds.
+"""Counting statistics of points in sub-boxes: moments and the counting lemma.
 
 The count N_Q of uniform points falling in a box Q of volume fraction theta is
 Binomial(N, theta). This module exposes the count itself, the analytic
-mean/variance/kurtosis-bound triple, and empirical concentration checks for the
-relative fluctuation rho = N_Q / (N theta) and the inverse count.
+mean/variance/kurtosis-bound triple, and `lemma_check`, the one place the lemma
+is checked on an ensemble of counts: the empirical mean and variance against
+the binomial ones, and the concentration of the relative fluctuation
+rho = N_Q / (N theta) and of the inverse count.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
 from .geometry import Box, PointCloud
+from .stats import TrialEnsemble
 
 
-@dataclass(frozen=True)
-class BoxCount:
-    n_q: int
-    n_total: int
-    theta: float
-
-
-@dataclass(frozen=True)
-class ConcentrationReport:
-    n_total: int
-    theta: float
-    samples: int
-    p2_stat: float        # (E|rho - 1|^2)^(1/2), empirical
-    p4_stat: float        # (E|rho - 1|^4)^(1/4), empirical
-    inv_stat: float       # (E[(I(N_Q != 0)/N_Q)^2])^(1/2), empirical
-    c_bound: float
-    p_bound: float        # c_bound / sqrt(N theta)
-    inv_bound: float      # c_bound / (N theta)
-    p2_ok: bool
-    p4_ok: bool
-    inv_ok: bool
-
-
-def count_in_box(cloud: PointCloud, box: Box) -> BoxCount:
+def count_in_box(cloud: PointCloud, box: Box) -> int:
     """Count points with lower <= x < lower + sides per coordinate.
 
     A face lying on the outer boundary x_i = side is closed, so that counts over
@@ -53,8 +33,7 @@ def count_in_box(cloud: PointCloud, box: Box) -> BoxCount:
         above = pts[:, i] >= lo[i]
         below = pts[:, i] <= hi[i] if upper_closed else pts[:, i] < hi[i]
         mask &= above & below
-    theta = box.volume / cloud.side**cloud.dim
-    return BoxCount(n_q=int(mask.sum()), n_total=cloud.n, theta=float(theta))
+    return int(mask.sum())
 
 
 def moment_bounds(n_total: int, theta: float) -> tuple[float, float, float]:
@@ -77,45 +56,48 @@ def binomial_fourth_central_moment(n_total: int, theta: float) -> float:
     return n_total * v * (1.0 + 3.0 * (n_total - 2) * v)
 
 
-def concentration_check(samples: list[BoxCount], c_bound: float = 10.0) -> ConcentrationReport:
-    """Empirical concentration statistics against C/sqrt(N theta) and C/(N theta).
+def lemma_check(ens: TrialEnsemble, n_total: int, theta: float, c_bound: float = 10.0) -> dict:
+    """The counting lemma on an ensemble of box counts N_Q ~ Binomial(N, theta).
 
-    All samples must share (n_total, theta) and satisfy N*theta >= 1. The constant
-    C is configurable because the theory fixes the scaling shape, not the constant.
+    The empirical mean and variance must lie within 4 standard errors of the
+    binomial ones. Where N theta >= 1, (E|rho - 1|^p)^(1/p) for p = 2, 4 must be
+    at most C / sqrt(N theta) and (E[(I(N_Q != 0) / N_Q)^2])^(1/2) at most
+    C / (N theta); the theory fixes these shapes, not the constant C.
     """
-    if not samples:
-        raise ValueError("need at least one sample")
-    n_total = samples[0].n_total
-    theta = samples[0].theta
-    for s in samples:
-        if s.n_total != n_total or s.theta != theta:
-            raise ValueError("all samples must share (n_total, theta)")
+    trials = ens.trials
+    if trials < 2:
+        raise ValueError(f"the variance check needs at least 2 trials, got {trials}")
+    mean, var, _ = moment_bounds(n_total, theta)
+    mean_se = math.sqrt(var / trials)
+    mu4 = binomial_fourth_central_moment(n_total, theta)
+    var_se = math.sqrt(max(mu4 - var**2 * (trials - 3) / (trials - 1), 0.0) / trials)
+    report = {
+        "empirical_mean": ens.mean,
+        "target_mean": mean,
+        "mean_ok": abs(ens.mean - mean) <= 4 * mean_se,
+        "empirical_variance": ens.variance,
+        "target_variance": var,
+        "variance_ok": abs(ens.variance - var) <= 4 * var_se,
+    }
     nt = n_total * theta
     if nt < 1.0:
-        raise ValueError(f"concentration requires N*theta >= 1, got {nt}")
+        return report
 
-    counts = np.array([s.n_q for s in samples], dtype=np.float64)
-    rho = counts / nt
-    p2 = float(np.mean(np.abs(rho - 1.0) ** 2) ** 0.5)
-    p4 = float(np.mean(np.abs(rho - 1.0) ** 4) ** 0.25)
-    nonzero = counts > 0
-    inv_sq = np.zeros_like(counts)
-    inv_sq[nonzero] = 1.0 / counts[nonzero] ** 2
+    counts = ens.observations.astype(np.float64)
+    dev = np.abs(counts / nt - 1.0)
+    inv_sq = np.divide(1.0, counts**2, out=np.zeros_like(counts), where=counts > 0)
+    p2 = float(np.mean(dev**2) ** 0.5)
+    p4 = float(np.mean(dev**4) ** 0.25)
     inv = float(np.mean(inv_sq) ** 0.5)
-
-    p_bound = float(c_bound / np.sqrt(nt))
-    inv_bound = float(c_bound / nt)
-    return ConcentrationReport(
-        n_total=n_total,
-        theta=theta,
-        samples=len(samples),
-        p2_stat=p2,
-        p4_stat=p4,
-        inv_stat=inv,
-        c_bound=c_bound,
-        p_bound=p_bound,
-        inv_bound=inv_bound,
-        p2_ok=bool(p2 <= p_bound),
-        p4_ok=bool(p4 <= p_bound),
-        inv_ok=bool(inv <= inv_bound),
-    )
+    p_bound = c_bound / math.sqrt(nt)
+    inv_bound = c_bound / nt
+    return report | {
+        "p2_stat": p2,
+        "p4_stat": p4,
+        "inv_stat": inv,
+        "p_bound": p_bound,
+        "inv_bound": inv_bound,
+        "p2_ok": p2 <= p_bound,
+        "p4_ok": p4 <= p_bound,
+        "inv_ok": inv <= inv_bound,
+    }

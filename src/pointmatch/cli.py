@@ -22,8 +22,6 @@ import time
 from dataclasses import asdict, dataclass, fields
 from functools import partial
 
-import numpy as np
-
 from . import __version__
 from . import assignment as asg
 from . import binomial
@@ -269,7 +267,7 @@ def cmd_upper_bound(opts: dict) -> int:
     config = _config("upper-bound", opts)
     t0 = time.perf_counter()
     rows = list(_instances(opts, xp.upper_bound_row))
-    header = ["seed", "k_star", "map_cost", "coupling_cost", "optimal_cost", "ub_over_opt"]
+    header = [f.name for f in fields(xp.UpperBoundRow)]
     return _emit_rows(opts, config, header, rows, t0)
 
 
@@ -278,7 +276,7 @@ def cmd_lower_bound(opts: dict) -> int:
     config = _config("lower-bound", opts)
     t0 = time.perf_counter()
     rows = list(_instances(opts, xp.lower_bound_row))
-    header = ["seed", "gain", "certified_lower_bound", "optimal_cost", "lb_over_opt"]
+    header = [f.name for f in fields(xp.LowerBoundRow)]
     return _emit_rows(opts, config, header, rows, t0)
 
 
@@ -300,7 +298,7 @@ def cmd_sandwich(opts: dict) -> int:
         "violations": len(violating),
         "upper_tight": sum(abs(r.optimal_cost - r.coupling_cost) <= slack * r.optimal_cost for r in rows),
     }
-    header = ["seed", "certified_lower_bound", "optimal_cost", "coupling_cost", "lb_over_opt", "ub_over_opt"]
+    header = [f.name for f in fields(xp.SandwichRow)]
     _emit_rows(opts, config, header, rows, t0, fit)
     if violating:
         print(f"sandwich violated at seed(s) {', '.join(map(str, violating))}", file=sys.stderr)
@@ -345,30 +343,9 @@ def cmd_lemma_check(opts: dict) -> int:
     for i, n in enumerate(config.n_values):
         for j, theta in enumerate(config.thetas):
             cfg = xp.BoxCountConfig(n=n, theta=theta, dim=opts["dim"], side=opts["side"])
-            ens, samples = xp.box_counts_ensemble(
-                cfg, opts["trials"], substream_seed(opts["seed"], i, j), workers=opts["workers"]
-            )
-            mean, var, _ = binomial.moment_bounds(n, theta)
-            emp_var = ens.variance
-            mean_se = np.sqrt(var / opts["trials"])
-            mu4 = binomial.binomial_fourth_central_moment(n, theta)
-            var_se = np.sqrt(max(mu4 - var**2 * (opts["trials"] - 3) / (opts["trials"] - 1), 0.0) / opts["trials"])
-            entry = {
-                "n": n,
-                "theta": theta,
-                "trials": opts["trials"],
-                "empirical_mean": ens.mean,
-                "target_mean": mean,
-                "mean_ok": bool(abs(ens.mean - mean) <= 4 * mean_se),
-                "empirical_variance": emp_var,
-                "target_variance": var,
-                "variance_ok": bool(abs(emp_var - var) <= 4 * var_se),
-            }
-            if n * theta >= 1.0:
-                rep = binomial.concentration_check(samples, c_bound=opts["c_bound"])
-                keys = ("p2_stat", "p4_stat", "inv_stat", "p_bound", "inv_bound", "p2_ok", "p4_ok", "inv_ok")
-                entry.update({key: getattr(rep, key) for key in keys})
-            results.append(entry)
+            ens = xp.box_counts_ensemble(cfg, opts["trials"], substream_seed(opts["seed"], i, j), workers=opts["workers"])
+            entry = {"n": n, "theta": theta, "trials": opts["trials"]}
+            results.append(entry | binomial.lemma_check(ens, n, theta, opts["c_bound"]))
     return _emit_summary(config, results, {}, t0, opts["json"])
 
 

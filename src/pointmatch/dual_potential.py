@@ -250,8 +250,8 @@ def integral_against_density(p: DualPotential, at_level: int | None = None) -> f
     """
     tree = p.tree
     k = tree.k_star if at_level is None else at_level
-    if k < p.level:
-        raise ValueError("density level must be at least the potential level")
+    if not p.level <= k <= tree.k_star:
+        raise ValueError(f"density level {k} outside [{p.level}, {tree.k_star}] (potential level, k*)")
     d, side, n = tree.dim, tree.side, tree.cloud.n
 
     weights = tree.counts[k] / n  # mass of each level-k box under rho_k

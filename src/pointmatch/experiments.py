@@ -16,9 +16,9 @@ import numpy as np
 from . import assignment as asg
 from . import dual_potential as dp
 from . import dyadic_transport as dy
-from .binomial import BoxCount, count_in_box
+from .binomial import count_in_box
 from .geometry import Box, PointCloud, sample_uniform, substream_seed
-from .stats import EnsembleConfig, ScalingFit, fit_scaling, map_trials, run_ensemble, scaling_shape, trial_seeds
+from .stats import EnsembleConfig, ScalingFit, TrialEnsemble, fit_scaling, map_trials, run_ensemble, scaling_shape, trial_seeds
 
 
 @dataclass(frozen=True)
@@ -56,13 +56,11 @@ def slab_box(cfg: BoxCountConfig) -> Box:
 
 def box_count(cfg: BoxCountConfig, seed: int) -> int:
     cloud = sample_uniform(cfg.n, cfg.side, cfg.dim, seed)
-    return count_in_box(cloud, slab_box(cfg)).n_q
+    return count_in_box(cloud, slab_box(cfg))
 
 
-def box_counts_ensemble(cfg: BoxCountConfig, trials: int, master_seed: int, workers: int | None = None):
-    ens = run_ensemble(EnsembleConfig(trials, master_seed, workers), partial(box_count, cfg))
-    samples = [BoxCount(n_q=int(v), n_total=cfg.n, theta=cfg.theta) for v in ens.observations]
-    return ens, samples
+def box_counts_ensemble(cfg: BoxCountConfig, trials: int, master_seed: int, workers: int | None = None) -> TrialEnsemble:
+    return run_ensemble(EnsembleConfig(trials, master_seed, workers), partial(box_count, cfg))
 
 
 # ---------------------------------------------------------------------------

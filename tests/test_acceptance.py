@@ -147,7 +147,7 @@ def test_criterion_07_lemma_moments():
     for i, (n, theta) in enumerate([(10**3, 0.125), (10**4, 0.5)]):
         trials = 1000
         cfg = BoxCountConfig(n=n, theta=theta, dim=1)
-        ens, _ = box_counts_ensemble(cfg, trials, geo.substream_seed(MASTER_SEED, 7, i))
+        ens = box_counts_ensemble(cfg, trials, geo.substream_seed(MASTER_SEED, 7, i))
         mean, var, _ = bi.moment_bounds(n, theta)
         mean_se = math.sqrt(var / trials)
         mu4 = bi.binomial_fourth_central_moment(n, theta)

@@ -15,19 +15,28 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
+_BOUND_ARGS = ["--n", "32", "--seeds", "2", "--workers", "1"]
+
+
 @pytest.mark.parametrize(
-    "subcommand, spans",
+    "args, spans",
     [
-        ("upper-bound", {"dyadic_transport.build_map", "dyadic_transport.build_tree", "experiments.upper_bound_row"}),
-        ("lower-bound", {"dyadic_transport.build_tree", "experiments.lower_bound_row"}),
+        (
+            ["upper-bound", *_BOUND_ARGS],
+            {"dyadic_transport.build_map", "dyadic_transport.build_tree", "experiments.upper_bound_row"},
+        ),
+        (["lower-bound", *_BOUND_ARGS], {"dyadic_transport.build_tree", "experiments.lower_bound_row"}),
+        (
+            ["scaling", "--dim", "3", "--n", "16,32,64", "--trials", "2", "--workers", "1"],
+            {"experiments.matching_cost", "assignment.match_solver", "stats.run_ensemble"},
+        ),
     ],
-    ids=["upper-bound", "lower-bound"],
+    ids=["upper-bound", "lower-bound", "exact-scaling"],
 )
-def test_traced_benchmark_batch_runs(subcommand, spans):
-    args = ["1", subcommand, "--n", "32", "--seeds", "2", "--workers", "1"]
+def test_traced_benchmark_batch_runs(args, spans):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     out = subprocess.run(
-        [sys.executable, str(ROOT / "perfbench" / "child.py"), *args], env=env, capture_output=True, text=True, check=True
+        [sys.executable, str(ROOT / "perfbench" / "child.py"), "1", *args], env=env, capture_output=True, text=True, check=True
     )
     report = json.loads(out.stdout.splitlines()[-1])
     assert report["exit_code"] == 0

@@ -9,6 +9,7 @@ from scipy.stats import chi2
 from pointmatch import binomial as bi
 from pointmatch import geometry as geo
 from pointmatch.experiments import BoxCountConfig, box_counts_ensemble, slab_box
+from pointmatch.stats import TrialEnsemble
 
 
 def _box(lower, sides):
@@ -18,9 +19,7 @@ def _box(lower, sides):
 def test_count_all_inside():
     pts = np.array([[0.1, 0.1], [0.2, 0.3], [0.15, 0.25]])
     cloud = geo.PointCloud(dim=2, side=1.0, points=pts, seed=0)
-    bc = bi.count_in_box(cloud, _box([0.0, 0.0], [0.5, 0.5]))
-    assert bc.n_q == 3
-    assert bc.theta == pytest.approx(0.25)
+    assert bi.count_in_box(cloud, _box([0.0, 0.0], [0.5, 0.5])) == 3
 
 
 def test_boundary_conventions():
@@ -29,9 +28,9 @@ def test_boundary_conventions():
     cloud = geo.PointCloud(dim=1, side=1.0, points=pts, seed=0)
     left = bi.count_in_box(cloud, _box([0.0], [0.5]))
     right = bi.count_in_box(cloud, _box([0.5], [0.5]))
-    assert left.n_q == 1  # the point at 0
-    assert right.n_q == 2  # 0.5 enters the right box, 1.0 sticks to the closed face
-    assert left.n_q + right.n_q == 3
+    assert left == 1  # the point at 0
+    assert right == 2  # 0.5 enters the right box, 1.0 sticks to the closed face
+    assert left + right == 3
 
 
 @given(seed=st.integers(0, 2**32 - 1), level=st.integers(1, 5))
@@ -42,14 +41,14 @@ def test_partition_counts_sum_to_n(seed, level):
     width = 1.0 / 2**level
     total = 0
     for i in range(2**level):
-        total += bi.count_in_box(cloud, _box([i * width, 0.0], [width, 1.0])).n_q
+        total += bi.count_in_box(cloud, _box([i * width, 0.0], [width, 1.0]))
     assert total == 128
 
 
 def test_count_mean_matches_lemma():
     # E[N_Q] = N * theta over an ensemble of seeds
     cfg = BoxCountConfig(n=10_000, theta=0.125, dim=1)
-    ens, _ = box_counts_ensemble(cfg, trials=1000, master_seed=17)
+    ens = box_counts_ensemble(cfg, trials=1000, master_seed=17)
     mean, var, _ = bi.moment_bounds(cfg.n, cfg.theta)
     se = math.sqrt(var / ens.trials)
     assert abs(ens.mean - mean) <= 4 * se
@@ -71,27 +70,39 @@ def test_fourth_moment_bound_holds_exactly():
             assert mu4 <= bound * (1 + 1e-9)
 
 
+def _ensemble(counts):
+    return TrialEnsemble(master_seed=0, observations=np.array(counts))
+
+
 def test_concentration_trivial_at_exact_mean():
-    samples = [bi.BoxCount(n_q=25, n_total=100, theta=0.25) for _ in range(10)]
-    rep = bi.concentration_check(samples)
-    assert rep.p2_stat == 0.0
-    assert rep.p4_stat == 0.0
+    rep = bi.lemma_check(_ensemble([25] * 10), 100, 0.25)
+    assert rep["p2_stat"] == 0.0
+    assert rep["p4_stat"] == 0.0
+    assert rep["empirical_mean"] == rep["target_mean"] == 25.0
+    assert rep["mean_ok"] and rep["p2_ok"] and rep["p4_ok"] and rep["inv_ok"]
 
 
-def test_concentration_rejects_small_mass():
-    with pytest.raises(ValueError):
-        bi.concentration_check([bi.BoxCount(n_q=0, n_total=10, theta=0.01)])
+def test_concentration_omitted_below_unit_mass():
+    # N theta < 1: the box is below the microscopic scale, so only the moments are checked
+    moments = {"empirical_mean", "target_mean", "mean_ok", "empirical_variance", "target_variance", "variance_ok"}
+    for theta in (0.0, 0.01, 0.099):
+        assert bi.lemma_check(_ensemble([0, 1, 0]), 10, theta).keys() == moments
+    assert bi.lemma_check(_ensemble([0, 1, 0]), 10, 0.1).keys() > moments
+
+
+def test_lemma_check_needs_two_trials():
+    with pytest.raises(ValueError, match="at least 2 trials"):
+        bi.lemma_check(_ensemble([3]), 10, 0.5)
 
 
 def test_concentration_monte_carlo():
     """Empirical p=2 statistic sits near sqrt((1-theta)/(N theta)) and the
     inverse-count statistic near 1/(N theta); both clear the scaled bounds."""
     cfg = BoxCountConfig(n=10_000, theta=1.0 / 16.0, dim=1)
-    _, samples = box_counts_ensemble(cfg, trials=1000, master_seed=23)
-    rep = bi.concentration_check(samples)
+    rep = bi.lemma_check(box_counts_ensemble(cfg, trials=1000, master_seed=23), cfg.n, cfg.theta)
     nt = cfg.n * cfg.theta
-    assert rep.p2_stat <= 3.0 / math.sqrt(nt)
-    assert rep.inv_stat <= 10.0 / nt
+    assert rep["p2_stat"] <= 3.0 / math.sqrt(nt)
+    assert rep["inv_stat"] <= 10.0 / nt
     # oracle: exact binomial sums, brute force over the support
     ks = np.arange(cfg.n + 1)
     logpmf = (
@@ -101,8 +112,8 @@ def test_concentration_monte_carlo():
     pmf = np.exp(np.array(logpmf))
     exact_p2 = math.sqrt(float((pmf * (ks / nt - 1.0) ** 2).sum()))
     exact_inv = math.sqrt(float((pmf[1:] * (1.0 / ks[1:]) ** 2).sum()))
-    assert rep.p2_stat == pytest.approx(exact_p2, rel=0.15)
-    assert rep.inv_stat == pytest.approx(exact_inv, rel=0.15)
+    assert rep["p2_stat"] == pytest.approx(exact_p2, rel=0.15)
+    assert rep["inv_stat"] == pytest.approx(exact_inv, rel=0.15)
 
 
 def test_counts_follow_exact_binomial_law():
@@ -114,7 +125,7 @@ def test_counts_follow_exact_binomial_law():
     counts = np.zeros(n + 1, dtype=np.int64)
     for t in range(trials):
         cloud = geo.sample_uniform(n, 1.0, 1, geo.substream_seed(rng_master, t))
-        counts[bi.count_in_box(cloud, box).n_q] += 1
+        counts[bi.count_in_box(cloud, box)] += 1
     pmf = np.array(
         [math.comb(n, k) * theta**k * (1 - theta) ** (n - k) for k in range(n + 1)]
     )

@@ -518,6 +518,20 @@ def test_lemma_check_report(capsys):
         assert entry["p2_ok"] and entry["p4_ok"] and entry["inv_ok"]
 
 
+def test_lemma_check_entry_schema(capsys):
+    # N theta = 0, 0.5 and 12.5: the concentration keys appear only where N theta >= 1
+    code, out, _ = run_cli(capsys, "lemma-check", "--n", "50", "--theta", "0,0.01,0.25", "--trials", "2")
+    assert code == 0
+    moments = {
+        "n", "theta", "trials", "empirical_mean", "target_mean", "mean_ok",
+        "empirical_variance", "target_variance", "variance_ok",
+    }
+    concentration = {"p2_stat", "p4_stat", "inv_stat", "p_bound", "inv_bound", "p2_ok", "p4_ok", "inv_ok"}
+    keys = [set(entry) for entry in json.loads(out)["results"]]
+    assert keys == [moments, moments, moments | concentration]
+    assert len(moments) == 9 and len(moments | concentration) == 17
+
+
 def test_missing_config_file_exits_2(capsys):
     code, _, err = run_cli(capsys, "scaling", "--config", "/nonexistent.json")
     assert code == 2

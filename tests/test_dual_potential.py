@@ -323,6 +323,16 @@ def test_zero_mean_identity_over_seeds():
     assert abs(diffs.mean()) <= 4 * se
 
 
+def test_integral_against_density_rejects_levels_outside_its_range():
+    tree = dy.build_tree(geo.sample_uniform(64, 1.0, 2, 7))
+    pot = dp.hierarchical_potential(tree, level=2)
+    for k in (pot.level, tree.k_star):
+        assert math.isfinite(dp.integral_against_density(pot, at_level=k))
+    for k in (pot.level - 1, tree.k_star + 1):
+        with pytest.raises(ValueError, match=rf"density level {k} outside \[2, {tree.k_star}\]"):
+            dp.integral_against_density(pot, at_level=k)
+
+
 def test_per_level_gain_identity():
     # E[per-level gain] = 2 L_k^2 2^(k-1) / N at every level
     n, trials = 256, 200
