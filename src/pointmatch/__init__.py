@@ -14,7 +14,6 @@ from .assignment import (
     match_lp,
     match_solver,
     monotone_matching_1d,
-    round_to_permutation,
 )
 from .binomial import count_in_box, lemma_check, moment_bounds
 from .dual_potential import (
@@ -37,8 +36,8 @@ from .dyadic_transport import (
     map_cost,
 )
 from .experiments import recursion_audit
-from .geometry import Box, MicroScale, PointCloud, micro_scale, sample_uniform, substream_seed
-from .stats import EnsembleConfig, ScalingFit, TrialEnsemble, fit_scaling, run_ensemble, trial_seeds
+from .geometry import Box, PointCloud, micro_scale, sample_uniform, substream_seed
+from .stats import ScalingFit, TrialEnsemble, fit_scaling, run_ensemble, trial_seeds
 
 __version__ = "0.1.0"
 
@@ -47,9 +46,7 @@ __all__ = [
     "CostMatrix",
     "DualPotential",
     "DyadicTree",
-    "EnsembleConfig",
     "HierarchicalMap",
-    "MicroScale",
     "PointCloud",
     "ScalingFit",
     "TransportPlan",
@@ -76,7 +73,6 @@ __all__ = [
     "phi_block",
     "potential_eval",
     "recursion_audit",
-    "round_to_permutation",
     "run_ensemble",
     "sample_uniform",
     "substream_seed",

@@ -3,9 +3,7 @@
 Three independent routes to the optimum of (1/N) min_sigma sum |Y_sigma(n) - X_n|^2:
 factorial enumeration (the oracle, tiny N), a dense shortest-augmenting-path
 assignment solver, and the Kantorovich linear program over bistochastic matrices
-solved by HiGHS, a code path independent of the assignment solver. A coupling
-is rounded to a permutation by the assignment solver restricted to the
-coupling's support (Birkhoff-von Neumann: never above the coupling's cost).
+solved by HiGHS, a code path independent of the assignment solver.
 All costs carry the 1/N normalization.
 
 `optimal_with_dual` warm-starts the assignment solver with the linearised
@@ -71,7 +69,6 @@ class CostMatrix:
 class TransportPlan:
     """Either a permutation matching or a (possibly estimated) bistochastic coupling."""
 
-    kind: str  # "permutation" | "coupling"
     cost: float
     perm: np.ndarray | None = None
     weights: np.ndarray | None = None
@@ -139,7 +136,7 @@ def match_bruteforce(c: CostMatrix) -> TransportPlan:
 
     descend(0, 0.0)
     perm = np.array(best_perm, dtype=np.intp)
-    return TransportPlan(kind="permutation", cost=best / n, perm=perm)
+    return TransportPlan(cost=best / n, perm=perm)
 
 
 def match_solver(c: CostMatrix) -> TransportPlan:
@@ -155,7 +152,7 @@ def match_solver(c: CostMatrix) -> TransportPlan:
     rows, cols = linear_sum_assignment(c.entries)
     perm = np.empty(c.n, dtype=np.intp)
     perm[rows] = cols
-    return TransportPlan(kind="permutation", cost=perm_cost(c, perm), perm=perm)
+    return TransportPlan(cost=perm_cost(c, perm), perm=perm)
 
 
 def monotone_matching_1d(x: PointCloud, y: PointCloud) -> TransportPlan:
@@ -168,7 +165,7 @@ def monotone_matching_1d(x: PointCloud, y: PointCloud) -> TransportPlan:
     perm = np.empty(x.n, dtype=np.intp)
     perm[ix] = iy
     cost = float(((x.points[ix, 0] - y.points[iy, 0]) ** 2).mean())
-    return TransportPlan(kind="permutation", cost=cost, perm=perm)
+    return TransportPlan(cost=cost, perm=perm)
 
 
 def poisson_dual(x: PointCloud, y: PointCloud) -> np.ndarray | None:
@@ -419,30 +416,4 @@ def match_lp(c: CostMatrix) -> TransportPlan:
     if res.status != 0:
         raise RuntimeError(f"HiGHS did not solve the transport LP: {res.message}")
     weights = res.x.reshape(n, n)
-    return TransportPlan(kind="coupling", cost=coupling_cost(c, weights), weights=weights)
-
-
-def round_to_permutation(plan: TransportPlan, c: CostMatrix) -> TransportPlan:
-    """The cheapest permutation inside a coupling's support.
-
-    By Birkhoff-von Neumann a bistochastic coupling is a convex combination of
-    permutations, each inside its support, so the cheapest of them, found by
-    the assignment solver with the entries outside the support forbidden,
-    costs at most the coupling does. Raises ValueError if the weights hold no
-    permutation in their support, so they are not a coupling.
-    """
-    if plan.kind == "permutation":
-        return plan
-    if plan.weights is None:
-        raise ValueError("coupling plan has no weights to round")
-    w = np.asarray(plan.weights, dtype=np.float64)
-    try:
-        rows, cols = linear_sum_assignment(np.where(w > 0, c.entries, np.inf))
-    except ValueError as err:
-        raise ValueError(f"weights are not a coupling: no permutation lies in their support ({err})") from err
-    perm = np.empty(c.n, dtype=np.intp)
-    perm[rows] = cols
-    cost = perm_cost(c, perm)
-    if cost > coupling_cost(c, w) + 1e-9:
-        raise AssertionError("rounding increased the cost")
-    return TransportPlan(kind="permutation", cost=cost, perm=perm)
+    return TransportPlan(cost=coupling_cost(c, weights), weights=weights)

@@ -50,9 +50,10 @@ class ExperimentConfig:
     def __post_init__(self):
         """Reject, before any work starts, a configuration no run can complete."""
         min_trials = 2 if self.subcommand in ("scaling", "lemma-check", "recursion-audit") else 1
+        lo, hi = side_range(max(self.dim, 1))  # a --dim below 1 fails its own check first
         checks = [
             (self.dim >= 1, f"--dim must be >= 1, got {self.dim}"),
-            (math.isfinite(self.side) and self.side > 0, f"--side must be finite and > 0, got {self.side}"),
+            (lo <= self.side <= hi, f"--side must lie in [{lo!r}, {hi!r}] for --dim {self.dim}, got {self.side}"),
             (all(n >= 1 for n in self.n_values), f"every --n must be >= 1, got {list(self.n_values)}"),
             (all(t >= min_trials for t in self.trials),
              f"{self.subcommand} needs at least {min_trials} trial(s) per run, got {list(self.trials)}"),
@@ -69,6 +70,19 @@ class ExperimentConfig:
         for ok, message in checks:
             if not ok:
                 raise ValueError(message)
+
+
+def side_range(dim: int) -> tuple[float, float]:
+    """The box sides (lo, hi) a run in dimension d accepts: those that keep
+    D^2 = (d L^2)^2, the scale of an ensemble variance of costs, and the volume
+    L^d, which divides every coupling mass and level weight, in
+    [tiny / eps, eps * big] (float64's smallest normal and largest value, eps
+    its epsilon). An underflow then errs by at most eps of the rounding that
+    the bounds' allowances grant, no sum of under 1 / eps terms overflows, and
+    the Poisson wavenumbers pi m / L, m < 4 N^(1/d), stay normal for N < 2^500.
+    """
+    low, high = sys.float_info.min / sys.float_info.epsilon, sys.float_info.max * sys.float_info.epsilon
+    return max(low ** (1 / dim), low**0.25 / math.sqrt(dim)), min(high ** (1 / dim), high**0.25 / math.sqrt(dim))
 
 
 def _env_seed() -> int:

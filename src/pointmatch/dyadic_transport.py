@@ -334,7 +334,7 @@ def couple_two_clouds(
         weights = np.zeros((tx.n, tx.n))
         np.add.at(weights, (n_idx, m_idx), 1.0)
         weights *= tx.n / sq.size
-    return TransportPlan(kind="coupling", cost=cost, weights=weights), stderr
+    return TransportPlan(cost=cost, weights=weights), stderr
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from . import dual_potential as dp
 from . import dyadic_transport as dy
 from .binomial import count_in_box
 from .geometry import Box, PointCloud, sample_uniform, substream_seed
-from .stats import EnsembleConfig, ScalingFit, TrialEnsemble, fit_scaling, map_trials, run_ensemble, scaling_shape, trial_seeds
+from .stats import ScalingFit, TrialEnsemble, fit_scaling, map_trials, run_ensemble, scaling_shape, trial_seeds
 
 
 @dataclass(frozen=True)
@@ -60,7 +60,7 @@ def box_count(cfg: BoxCountConfig, seed: int) -> int:
 
 
 def box_counts_ensemble(cfg: BoxCountConfig, trials: int, master_seed: int, workers: int | None = None) -> TrialEnsemble:
-    return run_ensemble(EnsembleConfig(trials, master_seed, workers), partial(box_count, cfg))
+    return run_ensemble(partial(box_count, cfg), trials, master_seed, workers)
 
 
 # ---------------------------------------------------------------------------
@@ -193,10 +193,7 @@ def scaling_experiment(
     results = []
     for i, (n, t) in enumerate(zip(n_values, trials)):
         cfg = PairConfig(n=n, dim=dim, side=side)
-        ens = run_ensemble(
-            EnsembleConfig(trials=t, master_seed=substream_seed(master_seed, i), workers=workers),
-            partial(matching_cost, cfg),
-        )
+        ens = run_ensemble(partial(matching_cost, cfg), t, substream_seed(master_seed, i), workers)
         r = side * n ** (-1.0 / dim)
         results.append(
             ScalingResult(
@@ -231,10 +228,6 @@ class AuditRow:
 
 @dataclass(frozen=True)
 class RecursionAudit:
-    n: int
-    dim: int
-    side: float
-    trials: int
     rows: list
     admissible_c: float  # max over levels
 
@@ -288,4 +281,4 @@ def recursion_audit(
         rows.append(
             AuditRow(k, lk, means[k], errs[k], increment, cross_means[k], cross_errs[k], c_k)
         )
-    return RecursionAudit(n=n, dim=dim, side=side, trials=trials, rows=rows, admissible_c=worst_c)
+    return RecursionAudit(rows=rows, admissible_c=worst_c)

@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 import csv
-import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,12 +21,11 @@ def substream_seed(master_seed: int, *path: int) -> int:
 
 @dataclass(frozen=True)
 class PointCloud:
-    """N ordered points in [0, L]^d together with the seed that produced them."""
+    """N ordered points in [0, L]^d."""
 
     dim: int
     side: float
     points: np.ndarray  # shape (N, dim), float64
-    seed: int
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=np.float64).reshape(-1, self.dim)
@@ -56,20 +54,6 @@ class Box:
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "sides", sd)
 
-    @property
-    def volume(self) -> float:
-        return float(np.prod(self.sides))
-
-
-@dataclass(frozen=True)
-class MicroScale:
-    """Typical inter-point distance r = L * N^(-1/d); r^d is the volume per particle."""
-
-    r: float
-    n: int = field(repr=False, default=0)
-    side: float = field(repr=False, default=0.0)
-    dim: int = field(repr=False, default=0)
-
 
 def sample_uniform(n: int, side: float, dim: int, seed: int) -> PointCloud:
     """Draw n i.i.d. uniform points in [0, side]^dim, reproducibly from seed."""
@@ -83,15 +67,14 @@ def sample_uniform(n: int, side: float, dim: int, seed: int) -> PointCloud:
         raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
     rng = np.random.default_rng(np.uint64(seed))
     pts = rng.random((n, dim)) * side
-    return PointCloud(dim=dim, side=float(side), points=pts, seed=int(seed))
+    return PointCloud(dim=dim, side=float(side), points=pts)
 
 
-def micro_scale(cloud: PointCloud) -> MicroScale:
-    """r = L * N^(-1/d)."""
+def micro_scale(cloud: PointCloud) -> float:
+    """Typical inter-point distance r = L * N^(-1/d); r^d is the volume per particle."""
     if cloud.n < 1:
         raise ValueError("micro_scale requires a nonempty cloud")
-    r = cloud.side * cloud.n ** (-1.0 / cloud.dim)
-    return MicroScale(r=float(r), n=cloud.n, side=cloud.side, dim=cloud.dim)
+    return float(cloud.side * cloud.n ** (-1.0 / cloud.dim))
 
 
 def cloud_to_csv(cloud: PointCloud, path_or_file) -> None:
@@ -106,24 +89,3 @@ def cloud_to_csv(cloud: PointCloud, path_or_file) -> None:
     finally:
         if own:
             f.close()
-
-
-def points_from_csv(path_or_file) -> np.ndarray:
-    """Read a cloud CSV written by cloud_to_csv; returns the (N, d) coordinate array."""
-    own = isinstance(path_or_file, (str, bytes))
-    f = open(path_or_file, "r", newline="") if own else path_or_file
-    try:
-        rows = list(csv.reader(f))
-    finally:
-        if own:
-            f.close()
-    header = rows[0]
-    dim = len(header)
-    data = np.array([[float(v) for v in row] for row in rows[1:]], dtype=np.float64)
-    return data.reshape(-1, dim)
-
-
-def cloud_csv_string(cloud: PointCloud) -> str:
-    buf = io.StringIO()
-    cloud_to_csv(cloud, buf)
-    return buf.getvalue()

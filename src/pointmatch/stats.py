@@ -49,17 +49,9 @@ def default_workers() -> int:
 
 
 @dataclass(frozen=True)
-class EnsembleConfig:
-    trials: int
-    master_seed: int
-    workers: int | None = None  # None: default_workers()
-
-
-@dataclass(frozen=True)
 class TrialEnsemble:
     """A seeded ensemble's observations in trial order, summarised by numpy reductions."""
 
-    master_seed: int
     observations: np.ndarray
 
     @property
@@ -222,18 +214,18 @@ def map_trials(observable, seeds, workers: int | None = None):
             child.stop()
 
 
-def run_ensemble(config: EnsembleConfig, observable) -> TrialEnsemble:
+def run_ensemble(observable, trials: int, master_seed: int, workers: int | None = None) -> TrialEnsemble:
     """Evaluate observable(seed) over independent per-trial substreams.
 
     The trials get trial_seeds(master_seed, trials) and are gathered in trial
     order, so the observations, and the mean and variance numpy reduces them
     to, are bit-identical across runs and worker counts.
     """
-    if config.trials < 2:
+    if trials < 2:
         raise ValueError("an ensemble needs at least 2 trials")
-    seeds = trial_seeds(config.master_seed, config.trials)
-    values = [float(v) for v in map_trials(observable, seeds, config.workers)]
-    return TrialEnsemble(master_seed=config.master_seed, observations=np.array(values))
+    seeds = trial_seeds(master_seed, trials)
+    values = [float(v) for v in map_trials(observable, seeds, workers)]
+    return TrialEnsemble(observations=np.array(values))
 
 
 def scaling_shape(n: int, dim: int) -> float:

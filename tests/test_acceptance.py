@@ -38,10 +38,7 @@ def test_criterion_01_d1_closed_form():
     ok = True
     for n in (1, 2, 10, 100):
         cfg = PairConfig(n=n, dim=1)
-        ens = stats.run_ensemble(
-            stats.EnsembleConfig(trials=10_000, master_seed=geo.substream_seed(MASTER_SEED, 1, n)),
-            partial(matching_cost, cfg),
-        )
+        ens = stats.run_ensemble(partial(matching_cost, cfg), 10_000, geo.substream_seed(MASTER_SEED, 1, n))
         target = 1.0 / (3.0 * (n + 1))
         dev = abs(ens.mean - target) / ens.stderr
         ok &= dev <= 3.0

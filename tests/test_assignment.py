@@ -13,7 +13,7 @@ from scipy.optimize import linear_sum_assignment
 from pointmatch import assignment as asg
 from pointmatch import geometry as geo
 from pointmatch.experiments import PairConfig, matching_cost
-from pointmatch.stats import EnsembleConfig, run_ensemble
+from pointmatch.stats import run_ensemble
 
 
 def _pair(n, dim, seed, side=1.0):
@@ -24,7 +24,7 @@ def _pair(n, dim, seed, side=1.0):
 
 def _cloud_from(points, side=1.0):
     pts = np.asarray(points, dtype=float)
-    return geo.PointCloud(dim=pts.shape[1], side=side, points=pts, seed=0)
+    return geo.PointCloud(dim=pts.shape[1], side=side, points=pts)
 
 
 # --- cost matrix -----------------------------------------------------------
@@ -134,7 +134,7 @@ def test_d1_closed_form_n10():
     cfg = PairConfig(n=10, dim=1)
     from functools import partial
 
-    ens = run_ensemble(EnsembleConfig(trials=10_000, master_seed=123), partial(matching_cost, cfg))
+    ens = run_ensemble(partial(matching_cost, cfg), 10_000, 123)
     target = 1.0 / 33.0
     assert abs(ens.mean - target) <= 3 * ens.stderr
 
@@ -495,63 +495,6 @@ def test_lp_refuses_large_instance():
         asg.match_lp(asg.cost_matrix(x, x))
 
 
-# --- rounding couplings to permutations -------------------------------------
-
-
-def test_round_keeps_permutation_input():
-    x, y = _pair(4, 2, 3)
-    plan = asg.match_solver(asg.cost_matrix(x, y))
-    assert asg.round_to_permutation(plan, asg.cost_matrix(x, y)) is plan
-
-
-def test_round_half_cycle_coupling():
-    # the classic 3x3 all-half coupling rounds to an integral permutation
-    w = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
-    c = asg.CostMatrix(3, np.arange(9, dtype=float).reshape(3, 3))
-    plan = asg.TransportPlan(kind="coupling", cost=asg.coupling_cost(c, w), weights=w)
-    rounded = asg.round_to_permutation(plan, c)
-    assert sorted(rounded.perm.tolist()) == [0, 1, 2]
-    assert rounded.cost <= plan.cost + 1e-9
-
-
-@pytest.mark.parametrize("seed", range(10))
-def test_round_random_mixtures_never_increase_cost(seed):
-    rng = np.random.default_rng(seed)
-    n = 5
-    w = np.zeros((n, n))
-    for lam in rng.dirichlet(np.ones(3)):
-        p = rng.permutation(n)
-        w[np.arange(n), p] += lam
-    x, y = _pair(n, 2, 200 + seed)
-    c = asg.cost_matrix(x, y)
-    plan = asg.TransportPlan(kind="coupling", cost=asg.coupling_cost(c, w), weights=w)
-    rounded = asg.round_to_permutation(plan, c)
-    brute = asg.match_bruteforce(c)
-    assert np.all(w[np.arange(n), rounded.perm] > 0)
-    assert rounded.cost <= plan.cost + 1e-9
-    assert rounded.cost >= brute.cost - 1e-12
-
-
-def test_round_rejects_weights_without_permutation_in_support():
-    # rows 0 and 1 both sit on column 0 alone, so no permutation lies in the support
-    w = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.5, 0.5]])
-    c = asg.CostMatrix(3, np.arange(9, dtype=float).reshape(3, 3))
-    plan = asg.TransportPlan(kind="coupling", cost=asg.coupling_cost(c, w), weights=w)
-    with pytest.raises(ValueError, match="not a coupling"):
-        asg.round_to_permutation(plan, c)
-
-
-def test_round_lp_output_with_degenerate_ties():
-    # duplicate points force ties; the rounded cost must equal the LP value
-    pts = np.array([[0.25, 0.25], [0.25, 0.25], [0.75, 0.75], [0.1, 0.9], [0.9, 0.1]])
-    x = _cloud_from(pts)
-    y = _cloud_from(pts[::-1].copy())
-    c = asg.cost_matrix(x, y)
-    lp = asg.match_lp(c)
-    rounded = asg.round_to_permutation(lp, c)
-    assert rounded.cost == pytest.approx(lp.cost, abs=1e-9)
-
-
 # --- invariants ------------------------------------------------------------
 
 
@@ -563,7 +506,7 @@ def test_enumeration_invariance(seed):
     x, y = _pair(6, 2, int(rng.integers(2**31)))
     cost = asg.match_solver(asg.cost_matrix(x, y)).cost
     order = rng.permutation(6)
-    x_shuffled = geo.PointCloud(dim=2, side=1.0, points=x.points[order], seed=0)
+    x_shuffled = geo.PointCloud(dim=2, side=1.0, points=x.points[order])
     shuffled_cost = asg.match_solver(asg.cost_matrix(x_shuffled, y)).cost
     assert shuffled_cost == pytest.approx(cost, rel=1e-12, abs=1e-15)
 
@@ -581,7 +524,7 @@ def test_plan_costs_match_recomputation():
 def test_zero_cost_iff_equal_multisets():
     x = geo.sample_uniform(8, 1.0, 2, 77)
     order = np.random.default_rng(0).permutation(8)
-    y = geo.PointCloud(dim=2, side=1.0, points=x.points[order], seed=1)
+    y = geo.PointCloud(dim=2, side=1.0, points=x.points[order])
     assert asg.match_solver(asg.cost_matrix(x, y)).cost == pytest.approx(0.0, abs=1e-15)
     z = geo.sample_uniform(8, 1.0, 2, 78)
     assert asg.match_solver(asg.cost_matrix(x, z)).cost > 0.0

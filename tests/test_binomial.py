@@ -18,14 +18,14 @@ def _box(lower, sides):
 
 def test_count_all_inside():
     pts = np.array([[0.1, 0.1], [0.2, 0.3], [0.15, 0.25]])
-    cloud = geo.PointCloud(dim=2, side=1.0, points=pts, seed=0)
+    cloud = geo.PointCloud(dim=2, side=1.0, points=pts)
     assert bi.count_in_box(cloud, _box([0.0, 0.0], [0.5, 0.5])) == 3
 
 
 def test_boundary_conventions():
     # interior faces are half-open, the outer face x = L is closed
     pts = np.array([[0.5], [1.0], [0.0]])
-    cloud = geo.PointCloud(dim=1, side=1.0, points=pts, seed=0)
+    cloud = geo.PointCloud(dim=1, side=1.0, points=pts)
     left = bi.count_in_box(cloud, _box([0.0], [0.5]))
     right = bi.count_in_box(cloud, _box([0.5], [0.5]))
     assert left == 1  # the point at 0
@@ -71,7 +71,7 @@ def test_fourth_moment_bound_holds_exactly():
 
 
 def _ensemble(counts):
-    return TrialEnsemble(master_seed=0, observations=np.array(counts))
+    return TrialEnsemble(observations=np.array(counts))
 
 
 def test_concentration_trivial_at_exact_mean():

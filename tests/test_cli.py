@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import shlex
@@ -94,6 +95,13 @@ def test_unknown_flag_exits_2(capsys):
         ["sandwich", "--n", "0"],
         ["sandwich", "--dim", "0"],
         ["sandwich", "--seeds", "0"],
+        # sides whose volumes, costs or variances leave float64's range (see cli.side_range)
+        ["upper-bound", "--n", "64", "--dim", "4", "--side", "1e-100", "--seeds", "1"],
+        ["recursion-audit", "--n", "64", "--dim", "4", "--side", "1e-100"],
+        ["sandwich", "--n", "64", "--dim", "2", "--side", "1e-200"],
+        ["sandwich", "--n", "64", "--dim", "2", "--side", "1e-155"],
+        ["upper-bound", "--dim", "3", "--side", "1e120"],
+        ["scaling", "--dim", "1", "--n", "4,8,16", "--side", "1e100"],
     ],
 )
 def test_bad_configuration_exits_2_before_any_work(capsys, monkeypatch, argv):
@@ -397,6 +405,32 @@ def test_sandwich_violation_exits_1_after_writing_csv_and_summary(tmp_path, caps
     assert len(path.read_text().strip().splitlines()) == 5
     assert json.loads(out)["fit"] == {"violations": 1, "upper_tight": 0}
     assert str(FAILING_SEED) in err
+
+
+def _summary(capsys, *argv):
+    code, out, err = run_cli(capsys, *argv, "--workers", "1")
+    assert code == 0, err
+    return json.loads(out)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_runs_hold_at_both_ends_of_the_side_range(capsys, dim):
+    # the sandwich holds, and since costs scale with L^2 the scaling sweep's
+    # stderr / mean and the audit's recursion constant read as at L = 1
+    lo, hi = cli.side_range(dim)
+    scale_free = []
+    for side in ("1.0", repr(lo), repr(hi)):
+        argv = ["--dim", str(dim), "--side", side]
+        assert _summary(capsys, "sandwich", "--n", "64", "--seeds", "4", *argv)["fit"]["violations"] == 0
+        sweep = _summary(capsys, "scaling", "--n", "8,16,32", "--trials", "3", *argv)["results"]
+        audit = _summary(capsys, "recursion-audit", "--n", "32", "--trials", "3", *argv)["fit"]
+        scale_free.append([r["stderr"] / r["mean"] for r in sweep] + [audit["admissible_c"]])
+    assert scale_free[1] == pytest.approx(scale_free[0], rel=1e-9)
+    assert scale_free[2] == pytest.approx(scale_free[0], rel=1e-9)
+    for side in (math.nextafter(lo, 0.0), math.nextafter(hi, math.inf)):
+        code, out, err = run_cli(capsys, "sandwich", "--n", "64", "--dim", str(dim), "--side", repr(side))
+        assert (code, out) == (2, "")
+        assert f"--side must lie in [{lo!r}, {hi!r}]" in err
 
 
 def test_recursion_audit_smoke(tmp_path, capsys):

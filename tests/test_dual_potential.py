@@ -17,7 +17,7 @@ from pointmatch.dyadic_transport import level_scale, level_sides, split_coordina
 
 def _cloud_from(points, side=1.0):
     pts = np.asarray(points, dtype=float)
-    return geo.PointCloud(dim=pts.shape[1], side=side, points=pts, seed=0)
+    return geo.PointCloud(dim=pts.shape[1], side=side, points=pts)
 
 
 def _potential(n, dim, seed, side=1.0):

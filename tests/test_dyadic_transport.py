@@ -13,7 +13,7 @@ from pointmatch import geometry as geo
 
 def _cloud_from(points, side=1.0):
     pts = np.asarray(points, dtype=float)
-    return geo.PointCloud(dim=pts.shape[1], side=side, points=pts, seed=0)
+    return geo.PointCloud(dim=pts.shape[1], side=side, points=pts)
 
 
 # --- tree construction -------------------------------------------------------
@@ -33,7 +33,7 @@ def test_scale_sequence_and_stopping_level_d2_n64():
     assert scales == [1.0, 0.5, 0.5, 0.25, 0.25, 0.125, 0.125]
     assert dy.stopping_level(64, 2) == 5
     tree = dy.build_tree(geo.sample_uniform(64, 1.0, 2, 9))
-    r = geo.micro_scale(tree.cloud).r
+    r = geo.micro_scale(tree.cloud)
     assert r <= tree.scale(tree.k_star) < 2 * r
 
 

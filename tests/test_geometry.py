@@ -78,7 +78,7 @@ def test_coordinates_in_box(seed):
 )
 def test_micro_scale_values(side, n, dim, expected):
     cloud = geo.sample_uniform(n, side, dim, 0)
-    assert geo.micro_scale(cloud).r == pytest.approx(expected, rel=1e-14)
+    assert geo.micro_scale(cloud) == pytest.approx(expected, rel=1e-14)
 
 
 def test_micro_scale_empty_cloud_rejected():
@@ -94,21 +94,27 @@ def test_micro_scale_empty_cloud_rejected():
 @settings(max_examples=200, deadline=None)
 def test_micro_scale_volume_identity(n, dim, side):
     # r^d * N = L^d up to floating tolerance
-    cloud = geo.PointCloud(dim=dim, side=side, points=np.zeros((n, dim)), seed=0)
-    r = geo.micro_scale(cloud).r
+    cloud = geo.PointCloud(dim=dim, side=side, points=np.zeros((n, dim)))
+    r = geo.micro_scale(cloud)
     assert r**dim * n == pytest.approx(side**dim, rel=1e-12)
+
+
+def _csv_text(cloud):
+    buf = io.StringIO()
+    geo.cloud_to_csv(cloud, buf)
+    return buf.getvalue()
 
 
 def test_csv_round_trip_exact():
     cloud = geo.sample_uniform(37, 1.0, 3, 555)
-    buf = io.StringIO(geo.cloud_csv_string(cloud))
-    back = geo.points_from_csv(buf)
+    text = _csv_text(cloud)
+    assert text.splitlines()[0] == "x1,x2,x3"
+    back = np.loadtxt(io.StringIO(text), delimiter=",", skiprows=1, ndmin=2)
     assert np.array_equal(back, cloud.points)
 
 
 def test_csv_header_only_for_empty():
-    text = geo.cloud_csv_string(geo.sample_uniform(0, 1.0, 2, 0))
-    assert text.strip() == "x1,x2"
+    assert _csv_text(geo.sample_uniform(0, 1.0, 2, 0)).strip() == "x1,x2"
 
 
 def test_substream_seeds_distinct():
@@ -139,6 +145,6 @@ def test_point_cloud_rejects_non_finite_coordinates(dim, n, bad):
     pts = geo.sample_uniform(n, 1.0, dim, 7).points.copy()
     pts[n // 2, dim - 1] = bad
     with pytest.raises(ValueError, match="finite"):
-        geo.PointCloud(dim=dim, side=1.0, points=pts, seed=7)
+        geo.PointCloud(dim=dim, side=1.0, points=pts)
     pts[n // 2, dim - 1] = 1e200  # finite, however far outside the box
-    assert geo.PointCloud(dim=dim, side=1.0, points=pts, seed=7).n == n
+    assert geo.PointCloud(dim=dim, side=1.0, points=pts).n == n

@@ -31,30 +31,29 @@ def failing_on_third(seed):
 
 
 def test_constant_observable():
-    ens = stats.run_ensemble(stats.EnsembleConfig(trials=50, master_seed=0), constant_seven)
-    single = stats.TrialEnsemble(master_seed=0, observations=np.array([7.0]))
+    ens = stats.run_ensemble(constant_seven, 50, 0)
+    single = stats.TrialEnsemble(observations=np.array([7.0]))
     for e in (ens, single):
         assert e.mean == 7.0
         assert e.variance == 0.0 and e.stderr == 0.0
 
 
 def test_uniform_mean():
-    ens = stats.run_ensemble(stats.EnsembleConfig(trials=100_000, master_seed=3), uniform_draw)
+    ens = stats.run_ensemble(uniform_draw, 100_000, 3)
     assert abs(ens.mean - 0.5) <= 4 * ens.stderr
     assert ens.stderr == pytest.approx(math.sqrt(1.0 / 12.0 / 100_000), rel=0.05)
 
 
 def test_d1_matching_cost_mean():
     cfg = PairConfig(n=10, dim=1)
-    ens = stats.run_ensemble(stats.EnsembleConfig(trials=4000, master_seed=8), partial(matching_cost, cfg))
+    ens = stats.run_ensemble(partial(matching_cost, cfg), 4000, 8)
     assert abs(ens.mean - 1.0 / 33.0) <= 3 * ens.stderr
 
 
 def test_ensembles_reproducible_and_worker_invariant():
-    cfg = stats.EnsembleConfig(trials=64, master_seed=11, workers=1)
-    a = stats.run_ensemble(cfg, uniform_draw)
-    b = stats.run_ensemble(cfg, uniform_draw)
-    c = stats.run_ensemble(stats.EnsembleConfig(trials=64, master_seed=11, workers=2), uniform_draw)
+    a = stats.run_ensemble(uniform_draw, 64, 11, workers=1)
+    b = stats.run_ensemble(uniform_draw, 64, 11, workers=1)
+    c = stats.run_ensemble(uniform_draw, 64, 11, workers=2)
     assert np.array_equal(a.observations, b.observations)
     assert np.array_equal(a.observations, c.observations)
     assert a.mean == c.mean and a.stderr == c.stderr
@@ -67,7 +66,7 @@ def test_trial_seeds_are_substreams_of_the_master():
 
 def test_trial_failure_reports_seed():
     with pytest.raises(stats.TrialError) as err:
-        stats.run_ensemble(stats.EnsembleConfig(trials=100, master_seed=2), failing_on_third)
+        stats.run_ensemble(failing_on_third, 100, 2)
     assert "seed" in str(err.value)
     assert err.value.seed == substream_seed(2, err.value.trial)
 
@@ -203,7 +202,7 @@ def test_map_trials_defaults_to_default_workers(monkeypatch, forks):
     monkeypatch.setattr(stats, "default_workers", lambda: 3)
     list(stats.map_trials(constant_seven, range(100)))
     assert len(forks) == 2
-    stats.run_ensemble(stats.EnsembleConfig(trials=100, master_seed=0), constant_seven)
+    stats.run_ensemble(constant_seven, 100, 0)
     assert len(forks) == 4
 
 
@@ -258,8 +257,8 @@ def test_map_trials_pins_each_child_to_a_cpu_of_its_own(monkeypatch, forks):
 def test_ensemble_summary_order_independent(perm_seed):
     rng = np.random.default_rng(perm_seed)
     xs = rng.random(200) * 10.0
-    ens1 = stats.TrialEnsemble(master_seed=0, observations=xs)
-    ens2 = stats.TrialEnsemble(master_seed=0, observations=rng.permutation(xs))
+    ens1 = stats.TrialEnsemble(observations=xs)
+    ens2 = stats.TrialEnsemble(observations=rng.permutation(xs))
     assert ens1.mean == pytest.approx(ens2.mean, rel=1e-12)
     assert ens1.variance == pytest.approx(ens2.variance, rel=1e-12)
     # oracle outside numpy: the statistics module sums exactly
