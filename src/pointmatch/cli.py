@@ -260,8 +260,7 @@ def cmd_match(opts: dict) -> int:
     method = opts["method"]
     if method not in _MATCH_SOLVERS:
         raise ValueError(f"unknown method {method!r}; expected one of {', '.join(_MATCH_SOLVERS)}")
-    if opts["seed"] < 0:
-        raise ValueError(f"--seed must be >= 0, got {opts['seed']}")
+    _config("match", {**opts, "trials": 1, "workers": 1})  # the --dim, --side, --n and --seed checks
     x, y = xp.sample_pair(xp.PairConfig(n=opts["n"], dim=opts["dim"], side=opts["side"]), opts["seed"])
     t0 = time.perf_counter()
     plan = _MATCH_SOLVERS[method](asg.cost_matrix(x, y))

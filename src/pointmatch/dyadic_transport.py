@@ -10,8 +10,10 @@ each stopping box yields a map T whose preimages all have volume exactly L^d/N.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -513,38 +515,12 @@ def coupling_cost_exact(t: HierarchicalMap, s: HierarchicalMap) -> float:
     """sum over pairs of mass * |Y_m - X_n|^2 for the exact coupling; an upper
     bound on the optimal matching cost by the Birkhoff-von Neumann theorem.
 
-    The pairs' terms are summed exactly chunk by chunk (`_exact_sum`) and
-    rounded once, so no array spans all the pairs and the correctly rounded
-    sum (math.fsum's) does not depend on the chunking."""
+    The pairs' terms stream chunk by chunk into math.fsum, so no array spans
+    all the pairs and the correctly rounded sum does not depend on the
+    chunking."""
     x, y = t.tree.cloud.points, s.tree.cloud.points
-    total = sum(_exact_sum(mass * ((y[m] - x[n]) ** 2).sum(axis=1)) for n, m, mass in _coupling_chunks(t, s))
-    return total / (1 << _SUM_SCALE)
-
-
-# frexp gives float64 exponents down to -1073 and 53-bit mantissas.
-_SUM_SCALE = 1073 + 53
-_SUM_SPLIT = 26  # mantissa halves < 2^27 add exactly in float64 for < 2^26 terms
-
-
-def _exact_sum(v: np.ndarray) -> int:
-    """sum(v) * 2**_SUM_SCALE, exactly, as an integer.
-
-    Each term is an integer mantissa times a power of two. The mantissas are
-    split into two halves and summed per exponent by bincount, exactly since
-    every partial sum stays below 2^53; the few per-exponent sums then add up
-    as Python integers."""
-    if v.size > 1 << _SUM_SPLIT:
-        return sum(_exact_sum(v[i : i + (1 << _SUM_SPLIT)]) for i in range(0, v.size, 1 << _SUM_SPLIT))
-    if v.size == 0:
-        return 0
-    mantissa, exponent = np.frexp(v)
-    digits = np.ldexp(mantissa, 53).astype(np.int64)
-    low = int(exponent.min())
-    shift = exponent - low
-    high_sums = np.bincount(shift, weights=digits >> _SUM_SPLIT)
-    low_sums = np.bincount(shift, weights=digits & ((1 << _SUM_SPLIT) - 1))
-    total = sum((int(h) << (_SUM_SPLIT + k)) + (int(l) << k) for k, (h, l) in enumerate(zip(high_sums, low_sums)))
-    return total << (low - 53 + _SUM_SCALE)
+    terms = (mass * ((y[m] - x[n]) ** 2).sum(axis=1) for n, m, mass in _coupling_chunks(t, s))
+    return math.fsum(chain.from_iterable(v.tolist() for v in terms))
 
 
 # ---------------------------------------------------------------------------

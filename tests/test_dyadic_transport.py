@@ -369,22 +369,6 @@ def test_tree_boxes_and_preimages_tile_the_domain(dim, n, side):
         np.testing.assert_allclose((hi_p - lo_p).prod(axis=1), want, rtol=1e-12, atol=1e-15 * side**dim)
 
 
-@pytest.mark.parametrize("kind", ["unit", "wide", "signed", "tiny"])
-def test_exact_sum_is_the_correctly_rounded_sum(kind, monkeypatch):
-    rng = np.random.default_rng(len(kind))
-    for n in (0, 1, 2, 7, 1000, 5000):
-        v = {
-            "unit": rng.random(n),
-            "wide": rng.random(n) * 10.0 ** rng.integers(-300, 300, n),
-            "signed": (rng.random(n) - 0.5) * 2.0 ** rng.integers(-1074, 1000, n),
-            "tiny": np.concatenate([rng.random(n) * 1e-310, [5e-324, 0.0, -0.0]]),
-        }[kind]
-        assert dy._exact_sum(v) / (1 << dy._SUM_SCALE) == math.fsum(v.tolist())
-    # past 2^SPLIT terms the sum goes by slices; shrink the split to reach that path
-    monkeypatch.setattr(dy, "_SUM_SPLIT", 3)
-    assert dy._exact_sum(v) / (1 << dy._SUM_SCALE) == math.fsum(v.tolist())
-
-
 def _sorted_triples(n_idx, m_idx, mass):
     order = np.lexsort((m_idx, n_idx))
     return n_idx[order], m_idx[order], mass[order]
@@ -393,14 +377,20 @@ def _sorted_triples(n_idx, m_idx, mass):
 @pytest.mark.parametrize("dim, n", [(2, 256), (3, 512)])
 def test_coupling_exact_in_tiny_chunks_equals_one_chunk(dim, n, monkeypatch):
     t, s = _map_pair(n, dim, 115 + n)
+    x, y = t.tree.cloud.points, s.tree.cloud.points
+
+    def fsum_of_terms(n_idx, m_idx, mass):
+        return math.fsum((mass * ((y[m_idx] - x[n_idx]) ** 2).sum(axis=1)).tolist())
+
     assert len(list(dy._coupling_chunks(t, s))) == 1
     whole, whole_cost = dy.coupling_exact(t, s), dy.coupling_cost_exact(t, s)
+    assert whole_cost == fsum_of_terms(*whole)
     monkeypatch.setattr(dy, "COUPLING_CHUNK_PAIRS", 7)
     assert len(list(dy._coupling_chunks(t, s))) > 1
     n_idx, m_idx, mass = dy.coupling_exact(t, s)
     for got, want in zip(_sorted_triples(n_idx, m_idx, mass), _sorted_triples(*whole)):
         assert np.array_equal(got, want)
-    assert dy.coupling_cost_exact(t, s) == whole_cost
+    assert dy.coupling_cost_exact(t, s) == whole_cost == fsum_of_terms(n_idx, m_idx, mass)
     np.testing.assert_allclose(np.bincount(n_idx, mass, minlength=n), 1.0 / n, rtol=1e-12, atol=0.0)
     np.testing.assert_allclose(np.bincount(m_idx, mass, minlength=n), 1.0 / n, rtol=1e-12, atol=0.0)
     n_idx, m_idx, _ = dy.coupling_exact(t, t)
