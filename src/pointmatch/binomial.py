@@ -1,11 +1,12 @@
-"""Counting statistics of points in sub-boxes: moments and the counting lemma.
+"""Counting statistics of points in a slab: moments and the counting lemma.
 
 The count N_Q of uniform points falling in a box Q of volume fraction theta is
-Binomial(N, theta). This module exposes the count itself, the analytic
-mean/variance/kurtosis-bound triple, and `lemma_check`, the one place the lemma
-is checked on an ensemble of counts: the empirical mean and variance against
-the binomial ones, and the concentration of the relative fluctuation
-rho = N_Q / (N theta) and of the inverse count.
+Binomial(N, theta). This module exposes the count in the slab
+Q = [0, theta L) x [0, L]^(d-1), the analytic mean/variance/kurtosis-bound
+triple, and `lemma_check`, the one place the lemma is checked on an ensemble
+of counts: the empirical mean and variance against the binomial ones, and the
+concentration of the relative fluctuation rho = N_Q / (N theta) and of the
+inverse count.
 """
 
 from __future__ import annotations
@@ -14,26 +15,20 @@ import math
 
 import numpy as np
 
-from .geometry import Box, PointCloud
+from .geometry import PointCloud
 from .stats import TrialEnsemble
 
 
-def count_in_box(cloud: PointCloud, box: Box) -> int:
-    """Count points with lower <= x < lower + sides per coordinate.
+def count_in_box(cloud: PointCloud, theta: float) -> int:
+    """Count points in the slab [0, theta L) x [0, L]^(d-1) of volume fraction theta.
 
-    A face lying on the outer boundary x_i = side is closed, so that counts over
-    any partition of [0, L]^d sum to N with no double counting.
+    The slab is half-open at x_1 = theta L, as a dyadic box is at an interior
+    face, and closed at the outer face x_1 = L when theta L reaches it; every
+    other face is a closed face of the domain, so no other coordinate is read.
     """
-    lo = box.lower
-    hi = box.lower + box.sides
-    pts = cloud.points
-    mask = np.ones(cloud.n, dtype=bool)
-    for i in range(cloud.dim):
-        upper_closed = hi[i] >= cloud.side
-        above = pts[:, i] >= lo[i]
-        below = pts[:, i] <= hi[i] if upper_closed else pts[:, i] < hi[i]
-        mask &= above & below
-    return int(mask.sum())
+    edge = theta * cloud.side
+    x1 = cloud.points[:, 0]
+    return int(np.count_nonzero(x1 <= edge if edge >= cloud.side else x1 < edge))
 
 
 def moment_bounds(n_total: int, theta: float) -> tuple[float, float, float]:

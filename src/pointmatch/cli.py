@@ -50,11 +50,12 @@ class ExperimentConfig:
     def __post_init__(self):
         """Reject, before any work starts, a configuration no run can complete."""
         min_trials = 2 if self.subcommand in ("scaling", "lemma-check", "recursion-audit") else 1
+        min_n = 0 if self.subcommand == "sample" else 1  # an empty cloud is a valid CSV
         lo, hi = side_range(max(self.dim, 1))  # a --dim below 1 fails its own check first
         checks = [
             (self.dim >= 1, f"--dim must be >= 1, got {self.dim}"),
             (lo <= self.side <= hi, f"--side must lie in [{lo!r}, {hi!r}] for --dim {self.dim}, got {self.side}"),
-            (all(n >= 1 for n in self.n_values), f"every --n must be >= 1, got {list(self.n_values)}"),
+            (all(n >= min_n for n in self.n_values), f"every --n must be >= {min_n}, got {list(self.n_values)}"),
             (all(t >= min_trials for t in self.trials),
              f"{self.subcommand} needs at least {min_trials} trial(s) per run, got {list(self.trials)}"),
             (self.workers >= 1, f"--workers must be >= 1, got {self.workers}"),
@@ -250,6 +251,7 @@ def _emit_rows(opts: dict, config: ExperimentConfig, header: list, rows: list, t
 
 def cmd_sample(opts: dict) -> int:
     """write a uniform cloud as CSV (header x1,...,xd)"""
+    _config("sample", {**opts, "trials": 1, "workers": 1})  # the --dim, --side and --n checks
     cloud = sample_uniform(opts["n"], opts["side"], opts["dim"], opts["seed"])
     cloud_to_csv(cloud, opts["out"] or sys.stdout)
     return 0

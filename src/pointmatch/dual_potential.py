@@ -25,14 +25,15 @@ import numpy as np
 
 from .assignment import _check_pair
 from .dyadic_transport import (
+    EVAL_SLICE_POINTS,
     DyadicTree,
+    box_index_of_points,
     level_scale,
     split_coordinate,
 )
 from .geometry import PointCloud
 
 ZETA_SCALE = 140.0  # normalizes int_0^1 x^3 (1-x)^3 dx = 1/140
-EVAL_SLICE_POINTS = 1 << 12  # points per slice in potential_values, potential_eval_batch and grad_sq_on_grid
 # sup |grad Phi|^2 is estimated as the grid maximum times INFLATION**2. This is a
 # heuristic, not a proven upper bound: the margin is meant to cover the residual
 # between the grid maximum and the true supremum, but a finer grid can exceed it
@@ -131,16 +132,7 @@ def _level_stack(p: DualPotential, xs: np.ndarray):
     tree = p.tree
     d, side, levels = tree.dim, tree.side, p.level
     x = np.ascontiguousarray(xs.T)
-    # Round r halves every coordinate once (levels r d + 1 .. r d + d, one
-    # scale). Each halving compares a point with its running lower corner,
-    # exactly as a walk level by level does, so points on faces land alike.
-    rounds = -(-levels // d)
-    lo = np.zeros((rounds + 1,) + x.shape)
-    right = np.empty((rounds,) + x.shape, dtype=bool)
-    for r in range(rounds):
-        lk = level_scale(r * d + 1, d, side)
-        np.greater_equal(x, lo[r] + lk, out=right[r])
-        lo[r + 1] = lo[r] + right[r] * lk
+    path, lo = box_index_of_points(x.T, side, d, levels)  # x.T is xs again, read without a copy
 
     parent = np.arange(levels)  # the level of each row's parent boxes
     split = parent % d
@@ -153,10 +145,8 @@ def _level_stack(p: DualPotential, xs: np.ndarray):
     np.divide(x[axes] - lo[halvings, axes], scale[:, :, None], out=w[:, :d])
     np.subtract(w[:, 0], 1.0, out=w[:, d])
 
-    # Bit k of a point's level-K path is its bit at level k; the row's parent
-    # box is the path's first k - 1 bits, offset into the tree's heap order.
-    bits = right.reshape(rounds * d, x.shape[1])[:levels].astype(np.int64)
-    path = (bits << (levels - 1 - parent)[:, None]).sum(axis=0)
+    # The row's parent box is the first k - 1 bits of the point's level-K
+    # box, offset into the tree's heap order.
     box = (path >> (levels - parent)[:, None]) + ((1 << parent) - 1)[:, None]
     return axes, w, scale, tree.rho_heap[box] - 1.0
 

@@ -22,6 +22,7 @@ from .geometry import PointCloud
 
 MIN_COST_PROBES = 1000
 COUPLING_CHUNK_PAIRS = 1 << 18  # candidate point pairs per chunk in the exact coupling
+EVAL_SLICE_POINTS = 1 << 12  # points per slice of a level walk: build_tree and the potential's evaluators
 
 
 # ---------------------------------------------------------------------------
@@ -33,16 +34,10 @@ def split_coordinate(level: int, dim: int) -> int:
     return (level - 1) % dim
 
 
-def splits_per_coordinate(level: int, dim: int) -> np.ndarray:
-    """How many times each coordinate has been halved after `level` levels."""
-    m = np.full(dim, level // dim, dtype=np.int64)
-    m[: level % dim] += 1
-    return m
-
-
 def level_sides(level: int, dim: int, side: float) -> np.ndarray:
     """Per-coordinate side lengths of every box at a given level (all boxes agree)."""
-    return side * 2.0 ** (-splits_per_coordinate(level, dim).astype(np.float64))
+    halvings = level // dim + (np.arange(dim) < level % dim)
+    return side * 2.0 ** (-halvings.astype(np.float64))
 
 
 def level_scale(level: int, dim: int, side: float) -> float:
@@ -114,21 +109,27 @@ class DyadicTree:
         return _levels(self, lambda level: self.rho_left(level) / 2.0)
 
 
-def box_index_of_points(points: np.ndarray, side: float, dim: int, level: int) -> np.ndarray:
-    """Level-`level` box index of each point (half-open boxes, outer faces closed)."""
-    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    m = splits_per_coordinate(level, dim)
-    cells = np.empty((points.shape[0], dim), dtype=np.int64)
-    for i in range(dim):
-        t = np.floor(points[:, i] * (2.0 ** m[i] / side)).astype(np.int64)
-        cells[:, i] = np.clip(t, 0, 2 ** m[i] - 1)
-    box = np.zeros(points.shape[0], dtype=np.int64)
-    for l in range(1, level + 1):
-        c = split_coordinate(l, dim)
-        done = (l - 1) // dim + 1  # halvings of coordinate c up to level l
-        bit = (cells[:, c] >> (m[c] - done)) & 1
-        box = (box << 1) | bit
-    return box
+def box_index_of_points(points: np.ndarray, side: float, dim: int, level: int):
+    """Level-`level` box of each point by the dyadic halving walk, with its corners.
+
+    Round r halves every coordinate once (levels r d + 1 .. r d + d, one
+    scale), comparing each point with its running lower corner plus the half
+    side: an interior face belongs to the upper box, the outer face x_i = L to
+    the last. Returns (box, lo): the level-`level` box index, its bits the
+    walk's choices in level order, and lo (rounds + 1, d, N) the lower corners
+    before every round.
+    """
+    x = np.ascontiguousarray(np.atleast_2d(np.asarray(points, dtype=np.float64)).T)
+    rounds = -(-level // dim)
+    lo = np.zeros((rounds + 1,) + x.shape)
+    right = np.empty((rounds,) + x.shape, dtype=bool)
+    for r in range(rounds):
+        lk = level_scale(r * dim + 1, dim, side)
+        np.greater_equal(x, lo[r] + lk, out=right[r])
+        np.add(lo[r], right[r] * lk, out=lo[r + 1])
+    bits = right.reshape(rounds * dim, x.shape[1])[:level]
+    box = np.left_shift(bits, np.arange(level - 1, -1, -1)[:, None], dtype=np.int64).sum(axis=0)
+    return box, lo
 
 
 def build_tree(cloud: PointCloud) -> DyadicTree:
@@ -140,7 +141,8 @@ def build_tree(cloud: PointCloud) -> DyadicTree:
     if cloud.n < 1:
         raise ValueError("build_tree requires a nonempty cloud")
     k_star = stopping_level(cloud.n, cloud.dim)
-    box = box_index_of_points(cloud.points, cloud.side, cloud.dim, k_star)
+    slices = (cloud.points[lo : lo + EVAL_SLICE_POINTS] for lo in range(0, cloud.n, EVAL_SLICE_POINTS))
+    box = np.concatenate([box_index_of_points(pts, cloud.side, cloud.dim, k_star)[0] for pts in slices])
     counts = [None] * (k_star + 1)
     counts[k_star] = np.bincount(box, minlength=2**k_star).astype(np.int64)
     for k in range(k_star - 1, -1, -1):
@@ -283,8 +285,7 @@ def _descend(h: HierarchicalMap, xs: np.ndarray, record_levels: bool = False):
     idx = np.full(p, -1, dtype=np.int64)
     occupied = n_box > 0
     if occupied.any():
-        width0 = L * 2.0 ** (-splits_per_coordinate(tree.k_star, d)[0])
-        rel = np.clip((pos[occupied, 0] - lo[occupied, 0]) / width0, 0.0, 1.0)
+        rel = np.clip((pos[occupied, 0] - lo[occupied, 0]) / tree.scale(tree.k_star), 0.0, 1.0)
         slab = np.clip((rel * n_box[occupied]).astype(np.int64), 0, n_box[occupied] - 1)
         pid = h.cell_order[h.box_offsets[b[occupied]] + slab]
         idx[occupied] = pid

@@ -17,7 +17,7 @@ from . import assignment as asg
 from . import dual_potential as dp
 from . import dyadic_transport as dy
 from .binomial import count_in_box
-from .geometry import Box, PointCloud, sample_uniform, substream_seed
+from .geometry import PointCloud, sample_uniform, substream_seed
 from .stats import ScalingFit, TrialEnsemble, fit_scaling, map_trials, run_ensemble, scaling_shape, trial_seeds
 
 
@@ -47,16 +47,9 @@ class BoxCountConfig:
     side: float = 1.0
 
 
-def slab_box(cfg: BoxCountConfig) -> Box:
-    """Axis-aligned slab [0, theta*L] x [0, L]^(d-1) with volume fraction theta."""
-    sides = np.full(cfg.dim, cfg.side)
-    sides[0] = cfg.theta * cfg.side
-    return Box(lower=np.zeros(cfg.dim), sides=sides)
-
-
 def box_count(cfg: BoxCountConfig, seed: int) -> int:
     cloud = sample_uniform(cfg.n, cfg.side, cfg.dim, seed)
-    return count_in_box(cloud, slab_box(cfg))
+    return count_in_box(cloud, cfg.theta)
 
 
 def box_counts_ensemble(cfg: BoxCountConfig, trials: int, master_seed: int, workers: int | None = None) -> TrialEnsemble:

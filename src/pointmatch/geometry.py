@@ -1,4 +1,4 @@
-"""Point clouds on [0, L]^d, dyadic boxes, and the microscopic scale."""
+"""Point clouds on [0, L]^d and the microscopic scale."""
 
 from __future__ import annotations
 
@@ -37,22 +37,6 @@ class PointCloud:
     @property
     def n(self) -> int:
         return self.points.shape[0]
-
-
-@dataclass(frozen=True)
-class Box:
-    """Axis-aligned box inside [0, L]^d given by its lower corner and side lengths."""
-
-    lower: np.ndarray
-    sides: np.ndarray
-
-    def __post_init__(self):
-        lo = np.asarray(self.lower, dtype=np.float64)
-        sd = np.asarray(self.sides, dtype=np.float64)
-        lo.setflags(write=False)
-        sd.setflags(write=False)
-        object.__setattr__(self, "lower", lo)
-        object.__setattr__(self, "sides", sd)
 
 
 def sample_uniform(n: int, side: float, dim: int, seed: int) -> PointCloud:

@@ -8,41 +8,28 @@ from scipy.stats import chi2
 
 from pointmatch import binomial as bi
 from pointmatch import geometry as geo
-from pointmatch.experiments import BoxCountConfig, box_counts_ensemble, slab_box
+from pointmatch.experiments import BoxCountConfig, box_counts_ensemble
 from pointmatch.stats import TrialEnsemble
 
 
-def _box(lower, sides):
-    return geo.Box(lower=np.array(lower, dtype=float), sides=np.array(sides, dtype=float))
-
-
-def test_count_all_inside():
-    pts = np.array([[0.1, 0.1], [0.2, 0.3], [0.15, 0.25]])
+def test_slab_count_conventions():
+    # the face x_1 = theta L belongs to the complement, the outer face x_1 = L to the slab
+    pts = np.array([[0.0, 0.9], [0.5, 0.2], [1.0, 1.0], [0.25, 0.0]])
     cloud = geo.PointCloud(dim=2, side=1.0, points=pts)
-    assert bi.count_in_box(cloud, _box([0.0, 0.0], [0.5, 0.5])) == 3
+    assert bi.count_in_box(cloud, 0.0) == 0
+    assert bi.count_in_box(cloud, 0.5) == 2  # 0.5 sits on the face and is left out
+    assert bi.count_in_box(cloud, 0.75) == 3
+    assert bi.count_in_box(cloud, 1.0) == 4  # 1.0 sticks to the closed outer face
 
 
-def test_boundary_conventions():
-    # interior faces are half-open, the outer face x = L is closed
-    pts = np.array([[0.5], [1.0], [0.0]])
-    cloud = geo.PointCloud(dim=1, side=1.0, points=pts)
-    left = bi.count_in_box(cloud, _box([0.0], [0.5]))
-    right = bi.count_in_box(cloud, _box([0.5], [0.5]))
-    assert left == 1  # the point at 0
-    assert right == 2  # 0.5 enters the right box, 1.0 sticks to the closed face
-    assert left + right == 3
-
-
-@given(seed=st.integers(0, 2**32 - 1), level=st.integers(1, 5))
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 3), side=st.sampled_from([1.0, 0.3, 0.7, 2.5]))
 @settings(max_examples=30, deadline=None)
-def test_partition_counts_sum_to_n(seed, level):
-    # 2^level equal slabs along coordinate 1 partition the box
-    cloud = geo.sample_uniform(128, 1.0, 2, seed)
-    width = 1.0 / 2**level
-    total = 0
-    for i in range(2**level):
-        total += bi.count_in_box(cloud, _box([i * width, 0.0], [width, 1.0]))
-    assert total == 128
+def test_slab_count_is_monotone_in_theta(seed, dim, side):
+    cloud = geo.sample_uniform(128, side, dim, seed)
+    counts = [bi.count_in_box(cloud, theta) for theta in np.linspace(0.0, 1.0, 33)]
+    assert counts[0] == 0
+    assert all(a <= b for a, b in zip(counts, counts[1:]))
+    assert counts[-1] == 128
 
 
 def test_count_mean_matches_lemma():
@@ -119,13 +106,11 @@ def test_concentration_monte_carlo():
 def test_counts_follow_exact_binomial_law():
     """Chi-square test of N_Q against Binomial(N, theta) at significance 1e-3."""
     n, theta, trials = 12, 0.3, 100_000
-    cfg = BoxCountConfig(n=n, theta=theta, dim=1)
-    box = slab_box(cfg)
     rng_master = 4242
     counts = np.zeros(n + 1, dtype=np.int64)
     for t in range(trials):
         cloud = geo.sample_uniform(n, 1.0, 1, geo.substream_seed(rng_master, t))
-        counts[bi.count_in_box(cloud, box)] += 1
+        counts[bi.count_in_box(cloud, theta)] += 1
     pmf = np.array(
         [math.comb(n, k) * theta**k * (1 - theta) ** (n - k) for k in range(n + 1)]
     )

@@ -104,6 +104,8 @@ def test_unknown_flag_exits_2(capsys):
         ["scaling", "--dim", "1", "--n", "4,8,16", "--side", "1e100"],
         ["match", "--n", "8", "--dim", "2", "--side", "1e-200"],
         ["match", "--n", "8", "--dim", "2", "--side", "1e300"],
+        ["sample", "--n", "2", "--side", "1e-320"],
+        ["sample", "--n", "2", "--dim", "3", "--side", "1e100"],
     ],
 )
 def test_bad_configuration_exits_2_before_any_work(capsys, monkeypatch, argv):
@@ -429,7 +431,7 @@ def test_runs_hold_at_both_ends_of_the_side_range(capsys, dim):
         scale_free.append([r["stderr"] / r["mean"] for r in sweep] + [audit["admissible_c"]])
     assert scale_free[1] == pytest.approx(scale_free[0], rel=1e-9)
     assert scale_free[2] == pytest.approx(scale_free[0], rel=1e-9)
-    for subcommand in ("sandwich", "match"):
+    for subcommand in ("sandwich", "match", "sample"):
         for side in (math.nextafter(lo, 0.0), math.nextafter(hi, math.inf)):
             code, out, err = run_cli(capsys, subcommand, "--n", "64", "--dim", str(dim), "--side", repr(side))
             assert (code, out) == (2, "")

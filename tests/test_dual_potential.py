@@ -381,7 +381,7 @@ def test_martingale_cancellation_of_gradients():
         _, gk = dp.potential_eval(pot_k, x)
         _, gkm1 = dp.potential_eval(pot_km1, x)
         grad_phi = gk - gkm1
-        box = int(dy.box_index_of_points(x, 1.0, 2, level - 1)[0])
+        box = int(dy.box_index_of_points(x, 1.0, 2, level - 1)[0][0])
         nq = int(tree.counts[level - 1][box])
         per_count.setdefault(nq, []).append(grad_phi)
     checked = 0

@@ -52,6 +52,34 @@ def test_tree_counts_are_consistent(seed, n, dim):
         assert np.array_equal(tree.counts[k], tree.counts[k + 1].reshape(-1, 2).sum(axis=1))
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("side", [1.0, 0.3, 0.7, 2.5])
+def test_tree_bins_points_as_the_level_walk_places_them(dim, side):
+    # points on the faces of a 1/16 lattice: at a non-dyadic side a floored
+    # cell index and the walk's running corner disagree on many of them
+    rng = np.random.default_rng(dim)
+    pts = np.floor(rng.random((300, dim)) * 16) / 16 * side
+    tree = dy.build_tree(_cloud_from(pts, side))
+    lo, b = np.zeros_like(pts), np.zeros(len(pts), dtype=np.int64)
+    for k in range(1, tree.k_star + 1):
+        c = dy.split_coordinate(k, dim)
+        right = pts[:, c] >= lo[:, c] + dy.level_scale(k, dim, side)
+        lo[:, c] += right * dy.level_scale(k, dim, side)
+        b = 2 * b + right
+    assert np.array_equal(tree.point_box, b)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_tree_bins_in_slices_as_in_one(dim, monkeypatch):
+    cloud = geo.sample_uniform(1000, 0.7, dim, dim)
+    assert cloud.n <= dy.EVAL_SLICE_POINTS
+    want = dy.build_tree(cloud)
+    monkeypatch.setattr(dy, "EVAL_SLICE_POINTS", 7)
+    tree = dy.build_tree(cloud)
+    assert np.array_equal(tree.point_box, want.point_box)
+    assert all(np.array_equal(a, b) for a, b in zip(tree.counts, want.counts))
+
+
 def test_stopping_scale_brackets_r():
     for n, dim in [(2, 1), (17, 2), (1000, 3), (4096, 2), (5, 3)]:
         k = dy.stopping_level(n, dim)
@@ -186,8 +214,8 @@ def test_composed_map_respects_box_boundaries():
     xs = rng.random((500, 2))
     _, _, history = dy._descend(h, xs, record_levels=True)
     for k in range(1, h.tree.k_star + 1):
-        before = dy.box_index_of_points(history[k - 1], 1.0, 2, k - 1)
-        after = dy.box_index_of_points(history[k], 1.0, 2, k - 1)
+        before = dy.box_index_of_points(history[k - 1], 1.0, 2, k - 1)[0]
+        after = dy.box_index_of_points(history[k], 1.0, 2, k - 1)[0]
         assert np.array_equal(before, after)
 
 
