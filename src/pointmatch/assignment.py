@@ -155,28 +155,15 @@ def match_solver(c: CostMatrix) -> TransportPlan:
     return TransportPlan(cost=perm_cost(c, perm), perm=perm)
 
 
-def monotone_matching_1d(x: PointCloud, y: PointCloud) -> TransportPlan:
-    """Pair sorted orders; optimal in d = 1 for the squared-distance cost."""
-    _check_pair(x, y)
-    if x.dim != 1:
-        raise ValueError("monotone matching applies to d = 1 only")
-    ix = np.argsort(x.points[:, 0], kind="stable")
-    iy = np.argsort(y.points[:, 0], kind="stable")
-    perm = np.empty(x.n, dtype=np.intp)
-    perm[ix] = iy
-    cost = float(((x.points[ix, 0] - y.points[iy, 0]) ** 2).mean())
-    return TransportPlan(cost=cost, perm=perm)
-
-
-def poisson_dual(x: PointCloud, y: PointCloud) -> np.ndarray | None:
-    """The linearised Kantorovich potential f = 2 phi at the x-points, or None.
+def poisson_dual(x: PointCloud, y: PointCloud) -> np.ndarray:
+    """The linearised Kantorovich potential f = 2 phi at the x-points.
 
     phi solves -Lap phi = (mu_x - mu_y) / mu_uniform on [0, L]^d with Neumann
     conditions, spectrally on an M^d grid of cells, M = 2^ceil(log2(2 N^(1/d))):
     the histogram of x - y goes through an orthonormal type-2 DCT, is divided
     by |k|^2 with k = pi m / L, smoothed by the heat kernel exp(-0.1 r^2 |k|^2)
     with r = L N^(-1/d), and transformed back. Each x-point reads its own
-    cell. Returns None when the grid would have more cells than the N x N
+    cell. Returns zeros when the grid would have more cells than the N x N
     cost matrix has entries (M^d > N^2).
     """
     _check_pair(x, y)
@@ -184,7 +171,7 @@ def poisson_dual(x: PointCloud, y: PointCloud) -> np.ndarray | None:
     m = 1 << math.ceil(math.log2(2.0 * n ** (1.0 / dim)))
     size = m**dim
     if size > n * n:
-        return None
+        return np.zeros(n)
     shape = (m,) * dim
 
     def cells(cloud):
@@ -199,11 +186,14 @@ def poisson_dual(x: PointCloud, y: PointCloud) -> np.ndarray | None:
     return 2.0 * idctn(hat, norm="ortho", overwrite_x=True).ravel()[cell_x]
 
 
-def staircase_dual(x: PointCloud, y: PointCloud) -> tuple[np.ndarray, np.ndarray]:
-    """Kantorovich potentials (u, v) of the monotone matching in d = 1, on the x- and y-points.
+def staircase_dual(x: PointCloud, y: PointCloud) -> tuple[float, np.ndarray, np.ndarray]:
+    """The monotone matching's cost in d = 1 and its Kantorovich potentials u, v on the x- and y-points.
 
-    With both clouds sorted, u_i + v_i = C_ii and u_i + v_(i+1) = C_(i,i+1): v
-    climbs from v_1 = 0 by the steps C_(i,i+1) - C_ii, and u_i = C_ii - v_i.
+    Pairing the sorted orders is optimal for the squared-distance cost, so the
+    cost is the mean of the sorted diagonal C_ii = (xs_i - ys_i)^2, summed in
+    sorted order. With both clouds sorted, u_i + v_i = C_ii and
+    u_i + v_(i+1) = C_(i,i+1): v climbs from v_1 = 0 by the steps
+    C_(i,i+1) - C_ii, and u_i = C_ii - v_i.
     The cost (x - y)^2 is Monge (C_ij + C_kl <= C_il + C_kj for i < k, j < l),
     so the steps telescope to u_i + v_j <= C_ij for every pair, and
     sum u + sum v = sum C_ii is the optimum. No cost matrix is built.
@@ -220,7 +210,7 @@ def staircase_dual(x: PointCloud, y: PointCloud) -> tuple[np.ndarray, np.ndarray
     u, v = np.empty(x.n), np.empty(x.n)
     u[ix] = diag - steps
     v[iy] = steps
-    return u, v
+    return float(diag.mean()), u, v
 
 
 def _certified_bound(x: PointCloud, terms: list) -> float:
@@ -236,13 +226,14 @@ def optimal_with_dual(x: PointCloud, y: PointCloud) -> tuple[float, float]:
 
     d = 1: the monotone matching, optimal for the squared-distance cost and
     checked against brute force in the test suite, with its staircase dual
-    (`staircase_dual`) u on the x-points and v on the y-points.
+    (`staircase_dual`) u on the x-points and v on the y-points, both read off
+    one sort of each cloud.
 
     d >= 2: the assignment solver on a cost matrix reduced in place before the
-    solve: by the Poisson dual f (`poisson_dual`; f = 0 where it returns None)
-    along rows, then by its column minima g, then by its row minima h. Each
-    step subtracts a row or column constant, so the optimal permutation stays,
-    and the solver finds it several times sooner. f is computed before the
+    solve: by the Poisson dual f (`poisson_dual`; zeros where its grid would
+    outgrow the matrix) along rows, then by its column minima g, then by its
+    row minima h. Each step subtracts a row or column constant, so the optimal
+    permutation stays, and the solver finds it several times sooner. f is computed before the
     matrix exists, so the matrix is the only N x N array alive at any time.
     In d >= 3 with N >= CANDIDATE_MIN_N the matrix is then shifted once more,
     by row and column constants from the sparse assignment on each row's
@@ -291,16 +282,17 @@ def optimal_with_dual(x: PointCloud, y: PointCloud) -> tuple[float, float]:
 
 
 def _solve_with_dual(x: PointCloud, y: PointCloud) -> tuple[float, list]:
-    """The exact cost and the dual terms of `optimal_with_dual`: [u, v] (d = 1) or [f, g, h]."""
+    """The exact cost and the dual terms of `optimal_with_dual`: [u, v] (d = 1) or [f, g, h].
+
+    The only place the exact solve chooses its route by the dimension.
+    """
     if x.dim == 1:
-        return monotone_matching_1d(x, y).cost, list(staircase_dual(x, y))
+        cost, u, v = staircase_dual(x, y)
+        return cost, [u, v]
     f = poisson_dual(x, y)
     c = cost_matrix(x, y)
     e = c.entries
-    if f is None:
-        f = np.zeros(x.n)
-    else:
-        e -= f[:, None]
+    e -= f[:, None]
     g = e.min(axis=0)
     e -= g
     h = e.min(axis=1)
@@ -392,8 +384,6 @@ def _settle(tails: np.ndarray, lengths: np.ndarray) -> np.ndarray | None:
 
 def optimal_cost(x: PointCloud, y: PointCloud) -> float:
     """Exact matching cost: the first value of `optimal_with_dual`, without its bound."""
-    if x.dim == 1:
-        return monotone_matching_1d(x, y).cost
     return _solve_with_dual(x, y)[0]
 
 

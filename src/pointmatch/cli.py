@@ -4,7 +4,8 @@ recursion-audit, lemma-check.
 Every experiment prints a JSON summary {config, results, fit, version} to stdout
 (the run's configuration is embedded verbatim for provenance) and optionally
 writes plot-ready CSV. Exit codes: 0 success, 2 configuration error, 1
-numerical failure. The default master seed comes from $POINTMATCH_SEED.
+numerical failure or out of memory. The default master seed comes from
+$POINTMATCH_SEED.
 
 Each subcommand's options are declared once, in OPTIONS (name -> default);
 its flags, its --config merge and its embedded config follow from that table.
@@ -95,7 +96,13 @@ def _env_seed() -> int:
         raise ValueError(f"${SEED_ENV_VAR} must be an integer, got {text!r}") from None
 
 
-_MATCH_SOLVERS = {"brute": asg.match_bruteforce, "solver": asg.match_solver, "lp": asg.match_lp}
+# match's methods, each a cost of two clouds: the product route (warm-started,
+# no matrix in d = 1) and the two independent oracles on the cost matrix
+_MATCH_SOLVERS = {
+    "brute": lambda x, y: asg.match_bruteforce(asg.cost_matrix(x, y)).cost,
+    "solver": asg.optimal_cost,
+    "lp": lambda x, y: asg.match_lp(asg.cost_matrix(x, y)).cost,
+}
 
 # Each subcommand's options, name -> default. The name gives the flag
 # (c_bound -> --c-bound) and the default its parse type: int, float,
@@ -265,13 +272,13 @@ def cmd_match(opts: dict) -> int:
     _config("match", {**opts, "trials": 1, "workers": 1})  # the --dim, --side, --n and --seed checks
     x, y = xp.sample_pair(xp.PairConfig(n=opts["n"], dim=opts["dim"], side=opts["side"]), opts["seed"])
     t0 = time.perf_counter()
-    plan = _MATCH_SOLVERS[method](asg.cost_matrix(x, y))
+    cost = _MATCH_SOLVERS[method](x, y)
     seconds = time.perf_counter() - t0
-    print(json.dumps({"cost": plan.cost, "method": method, "seconds": round(seconds, 6)}))
+    print(json.dumps({"cost": cost, "method": method, "seconds": round(seconds, 6)}))
     return 0
 
 
-def _instances(opts: dict, row):
+def _instances(opts: dict, row) -> list:
     """row(cfg, seed) of each of the run's --seeds instances, in seed order, on --workers processes."""
     cfg = xp.PairConfig(n=opts["n"], dim=opts["dim"], side=opts["side"])
     return map_trials(partial(row, cfg), trial_seeds(opts["seed"], opts["seeds"]), opts["workers"])
@@ -281,7 +288,7 @@ def cmd_upper_bound(opts: dict) -> int:
     """exact hierarchical map and coupling costs, from preimage boxes, vs the optimum; CSV rows (seed, k_star, map_cost, coupling_cost, optimal_cost, ub_over_opt)"""
     config = _config("upper-bound", opts)
     t0 = time.perf_counter()
-    rows = list(_instances(opts, xp.upper_bound_row))
+    rows = _instances(opts, xp.upper_bound_row)
     header = [f.name for f in fields(xp.UpperBoundRow)]
     return _emit_rows(opts, config, header, rows, t0)
 
@@ -290,7 +297,7 @@ def cmd_lower_bound(opts: dict) -> int:
     """certified dual lower bound (the c-transform pair of the exact solve's warm start) vs the optimum, gain = mean of the paper's potential over the x-cloud (its spatial mean is exactly 0); CSV rows (seed, gain, certified_lower_bound, optimal_cost, lb_over_opt)"""
     config = _config("lower-bound", opts)
     t0 = time.perf_counter()
-    rows = list(_instances(opts, xp.lower_bound_row))
+    rows = _instances(opts, xp.lower_bound_row)
     header = [f.name for f in fields(xp.LowerBoundRow)]
     return _emit_rows(opts, config, header, rows, t0)
 
@@ -299,7 +306,7 @@ def cmd_sandwich(opts: dict) -> int:
     """per-instance sandwich certified lower bound <= optimum <= coupling cost, the optimum and its lower bound from one solve; CSV rows (seed, certified_lower_bound, optimal_cost, coupling_cost, lb_over_opt, ub_over_opt); exits 1, after writing both, if an instance breaks it"""
     config = _config("sandwich", opts)
     t0 = time.perf_counter()
-    rows = list(_instances(opts, xp.sandwich_row))
+    rows = _instances(opts, xp.sandwich_row)
     # Both costs are sums of N non-negative terms, each off by at most about
     # N eps relative; so a coupling that undercuts the optimum by less than
     # 2 N eps opt is tight (in d = 1 it is the monotone optimum), not a
@@ -418,6 +425,9 @@ def run(argv=None) -> int:
         return 2
     except (TrialError, RuntimeError, AssertionError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"out of memory: {exc!r}", file=sys.stderr)
         return 1
 
 

@@ -251,7 +251,7 @@ def recursion_audit(
         raise ValueError("audit needs at least 2 trials")
     k_star = dy.stopping_level(n, dim)
     cfg = PairConfig(n=n, dim=dim, side=side)
-    terms = np.array(list(map_trials(partial(level_terms, cfg), trial_seeds(master_seed, trials), workers)))
+    terms = np.array(map_trials(partial(level_terms, cfg), trial_seeds(master_seed, trials), workers))
     sq_sums, cross_sums = terms[:, 0], terms[:, 1]
     r = side * n ** (-1.0 / dim)
     means = sq_sums.mean(axis=0)

@@ -123,8 +123,8 @@ class _Child:
                 return results, err
         return results, None
 
-    def results(self):
-        """Yield the child's results in trial order and raise its TrialError.
+    def results(self) -> list:
+        """The child's results in trial order; raises its TrialError.
 
         If the pickle does not arrive whole, the child died: the error names
         the trial it was running, whose seed reproduces the death.
@@ -136,9 +136,9 @@ class _Child:
             t = self.running[0]
             raise TrialError(t, self.seeds[t], f"worker exited with status {code}") from None
         self.sent = True
-        yield from results
         if error is not None:
             raise error
+        return results
 
     def _wait(self) -> int:
         """Reap the child; its exit code, -n if signal n killed it."""
@@ -180,35 +180,33 @@ def _this_cpu() -> int:
         return int(f.read().rsplit(")", 1)[1].split()[36])
 
 
-def map_trials(observable, seeds, workers: int | None = None):
-    """Yield observable(seed) for each seed, in order; trial t is seeds[t].
+def map_trials(observable, seeds, workers: int | None = None) -> list:
+    """[observable(seed) for seed in seeds], in order; trial t is seeds[t].
 
     With w = min(workers, trials) > 1 (workers None: default_workers()) the
-    trials are cut into w contiguous shares. This process runs share 0 and
-    yields its results as they come; w - 1 forked children, each pinned to a
-    CPU of its own while CPUs last (`_child_cpus`), run the others, each
-    sending its share's results in one pickle down a pipe; the pipes are
-    read in trial order. The children inherit the observable, so only
-    results need to pickle. With one worker, or where os.fork does not
-    exist, the trials run in this process. The first failing trial raises
-    TrialError, and so does the trial a child dies in. Children still
-    running when the map ends, fails or is closed are killed and reaped.
+    trials are cut into w contiguous shares. This process runs share 0, and
+    w - 1 forked children, each pinned to a CPU of its own while CPUs last
+    (`_child_cpus`), run the others, each sending its share's results in one
+    pickle down a pipe; the pipes are read in trial order. The children
+    inherit the observable, so only results need to pickle. With one worker,
+    or where os.fork does not exist, the trials run in this process. The
+    first failing trial raises TrialError, and so does the trial a child dies
+    in. Children still running when the map fails are killed; every child is
+    reaped.
     """
     seeds = list(seeds)
     workers = min(default_workers() if workers is None else workers, len(seeds))
     if workers <= 1 or not hasattr(os, "fork"):
-        for t, seed in enumerate(seeds):
-            yield _run_trial(observable, t, seed)
-        return
+        return [_run_trial(observable, t, seed) for t, seed in enumerate(seeds)]
     cuts = [len(seeds) * i // workers for i in range(workers + 1)]
     children = []
     try:
         for lo, hi, cpu in zip(cuts[1:-1], cuts[2:], _child_cpus(workers - 1)):
             children.append(_Child(observable, seeds, lo, hi, cpu))
-        for t in range(cuts[1]):
-            yield _run_trial(observable, t, seeds[t])
+        results = [_run_trial(observable, t, seeds[t]) for t in range(cuts[1])]
         for child in children:
-            yield from child.results()
+            results += child.results()
+        return results
     finally:
         for child in children:
             child.stop()

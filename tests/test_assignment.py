@@ -120,13 +120,13 @@ def test_solver_gets_the_entries_without_a_copy(monkeypatch):
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_monotone_matching_is_optimal_in_1d(seed):
-    x, y = _pair(7, 1, seed)
-    mono = asg.monotone_matching_1d(x, y)
-    brute = asg.match_bruteforce(asg.cost_matrix(x, y))
-    assert mono.cost == pytest.approx(brute.cost, rel=1e-12)
-    solver = asg.match_solver(asg.cost_matrix(x, y))
-    assert mono.cost == pytest.approx(solver.cost, rel=1e-12)
+def test_optimal_cost_is_optimal_in_1d(seed):
+    # d = 1 reads the cost off one sort of each cloud; brute force is the oracle
+    for n in range(1, asg.BRUTE_FORCE_LIMIT + 1):
+        x, y = _pair(n, 1, 20 * seed + n, side=(1.0, 2.5)[n % 2])
+        c = asg.cost_matrix(x, y)
+        assert asg.optimal_cost(x, y) == pytest.approx(asg.match_bruteforce(c).cost, rel=1e-12, abs=0.0), n
+        assert asg.optimal_cost(x, y) == pytest.approx(asg.match_solver(c).cost, rel=1e-12, abs=0.0), n
 
 
 def test_d1_closed_form_n10():
@@ -172,8 +172,7 @@ def test_warm_start_equals_the_plain_solve(dim, side):
         x = geo.sample_uniform(n, side, dim, geo.substream_seed(31, dim, n, 0))
         y = geo.sample_uniform(n, side, dim, geo.substream_seed(31, dim, n, 1))
         f = asg.poisson_dual(x, y)
-        if f is not None:
-            assert f.shape == (n,) and np.all(np.isfinite(f))
+        assert f.shape == (n,) and np.all(np.isfinite(f))
         assert asg.optimal_cost(x, y) == _plain_optimum(x, y), (dim, side, n)
 
 
@@ -214,9 +213,9 @@ def test_warm_start_on_identical_clouds_costs_zero():
 
 @pytest.mark.parametrize("n, dim", [(1, 2), (1, 3), (64, 12)])
 def test_warm_start_falls_back_to_the_plain_solve(n, dim):
-    # a grid larger than the cost matrix is not built
+    # a grid larger than the cost matrix is not built: the potential is zeros
     x, y = _pair(n, dim, 13)
-    assert asg.poisson_dual(x, y) is None
+    assert np.array_equal(asg.poisson_dual(x, y), np.zeros(n))
     assert asg.optimal_cost(x, y) == _plain_optimum(x, y)
 
 
@@ -308,7 +307,7 @@ def test_candidate_shift_skips_clouds_no_larger_than_k(shifts, n):
 @pytest.mark.parametrize("bad", [1e200, -1e200])
 def test_candidate_shift_passes_non_finite_entries_on_to_the_solver_check(shifts, bad):
     # a finite coordinate whose square overflows: the cloud accepts it, its cost
-    # entries are +inf, and d = 12 at this N has no Poisson dual, so nothing
+    # entries are +inf, and d = 12 at this N has a zero Poisson dual, so nothing
     # before the shift rejects the point
     x, y = _pair(asg.CANDIDATE_MIN_N, 12, 27)
     pts = x.points.copy()
@@ -417,15 +416,17 @@ def test_staircase_dual_is_feasible_and_tight_entry_by_entry(side):
     for n in range(1, 9):
         for t in range(10):
             x, y = _pair(n, 1, 400 + 10 * n + t, side=side)
-            u, v = asg.staircase_dual(x, y)
+            cost, u, v = asg.staircase_dual(x, y)
             c = asg.cost_matrix(x, y).entries
             # the per-entry rounding bound of the staircase, (2.51 N + 1.01) eps M
             slack = (2.51 * n + 1.01) * _EPS * (side**2 * (1 + _EPS) + np.abs(u).max() + np.abs(v).max())
             assert np.all(u[:, None] + v[None, :] <= c + slack)
-            perm = asg.monotone_matching_1d(x, y).perm
+            perm = np.empty(n, dtype=np.intp)  # the monotone matching: sorted x-points to sorted y-points
+            perm[np.argsort(x.points[:, 0], kind="stable")] = np.argsort(y.points[:, 0], kind="stable")
             assert np.all(np.abs(u + v[perm] - c[np.arange(n), perm]) <= slack)
             brute = asg.match_bruteforce(asg.cost_matrix(x, y)).cost
             assert abs((u.sum() + v.sum()) / n - brute) <= slack
+            assert abs(cost - brute) <= slack
 
 
 def test_staircase_dual_rejects_d2():

@@ -5,11 +5,14 @@ import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
+from pointmatch import assignment as asg
 from pointmatch import cli
+from pointmatch import experiments as xp
 from pointmatch import dual_potential as dp
 from pointmatch import dyadic_transport as dy
 from pointmatch.geometry import substream_seed
@@ -45,6 +48,58 @@ def test_match_methods_agree(capsys):
         assert set(payload) == {"cost", "method", "seconds"}
         costs[method] = payload["cost"]
     assert costs["brute"] == costs["solver"] == pytest.approx(costs["lp"], abs=1e-9)
+
+
+@pytest.mark.parametrize("dim, n", [(2, 64), (2, 500), (3, 200), (3, 1024)])
+def test_match_solver_prints_the_warm_started_optimum(capsys, monkeypatch, dim, n):
+    # the product route: the warm start's cost bit for bit, equal to the plain solve's;
+    # at d = 3, N = 1024 the candidate shift runs too
+    shifts = []
+    shift = asg._candidate_shift
+
+    def spy(e):
+        shifts.append(shift(e))
+        return shifts[-1]
+
+    monkeypatch.setattr(asg, "_candidate_shift", spy)
+    code, out, err = run_cli(capsys, "match", "--n", str(n), "--dim", str(dim), "--seed", "1")
+    assert code == 0, err
+    x, y = xp.sample_pair(xp.PairConfig(n=n, dim=dim), 1)
+    assert json.loads(out)["cost"] == asg.optimal_cost(x, y) == asg.match_solver(asg.cost_matrix(x, y)).cost
+    assert shifts == ([True, True] if n >= asg.CANDIDATE_MIN_N and dim >= 3 else [])
+
+
+def test_match_d1_builds_no_cost_matrix(capsys, monkeypatch):
+    # N = 10^5: an N x N matrix would take 80 GB; the sorted staircase takes a few N-vectors
+    def refuse(x, y):
+        raise AssertionError("cost matrix built")
+
+    monkeypatch.setattr(asg, "cost_matrix", refuse)
+    n = 100_000
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "match", "--n", str(n), "--dim", "1", "--seed", "2")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0, err
+    assert json.loads(out)["cost"] > 0.0
+    assert peak < 16 * 8 * n
+
+
+def out_of_memory(*args, **kwargs):
+    raise MemoryError("Unable to allocate 298. GiB for an array with shape (200000, 200000) and data type float64")
+
+
+@pytest.mark.parametrize("argv", [["match", "--n", "200000", "--dim", "2"], ["sample", "--n", "100000000000", "--dim", "2"]])
+def test_out_of_memory_exits_1_with_one_line(capsys, monkeypatch, argv):
+    # stand-ins raise where the N x N matrix or the cloud would not fit: neither is allocated
+    monkeypatch.setattr(asg, "cost_matrix", out_of_memory)
+    monkeypatch.setattr(cli, "sample_uniform", out_of_memory)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("out of memory: MemoryError('Unable to allocate 298. GiB")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_package_runs_as_a_module():

@@ -337,7 +337,7 @@ def test_exact_costs_match_monte_carlo_oracles(dim, n, seed):
 def test_coupling_exact_d1_is_monotone_optimum(n):
     # both maps are monotone in d = 1, so their coupling is the sorted matching
     t, s = _map_pair(n, 1, 90 + n, side=2.5)
-    opt = asg.monotone_matching_1d(t.tree.cloud, s.tree.cloud).cost
+    opt = asg.optimal_cost(t.tree.cloud, s.tree.cloud)
     assert dy.coupling_cost_exact(t, s) == pytest.approx(opt, rel=1e-12, abs=0.0)
 
 
