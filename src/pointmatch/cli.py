@@ -270,7 +270,11 @@ def cmd_match(opts: dict) -> int:
     if method not in _MATCH_SOLVERS:
         raise ValueError(f"unknown method {method!r}; expected one of {', '.join(_MATCH_SOLVERS)}")
     _config("match", {**opts, "trials": 1, "workers": 1})  # the --dim, --side, --n and --seed checks
-    x, y = xp.sample_pair(xp.PairConfig(n=opts["n"], dim=opts["dim"], side=opts["side"]), opts["seed"])
+    limits = {"brute": ("brute force enumeration", asg.BRUTE_FORCE_LIMIT), "lp": ("dense LP", asg.LP_SIZE_LIMIT)}
+    what, limit = limits.get(method, ("", math.inf))
+    if opts["n"] > limit:  # the oracle's own check, before the clouds and their N x N matrix exist
+        raise ValueError(f"{what} is limited to N <= {limit}, got N = {opts['n']}")
+    x, y = xp.sample_pair(opts["n"], opts["dim"], opts["side"], opts["seed"])
     t0 = time.perf_counter()
     cost = _MATCH_SOLVERS[method](x, y)
     seconds = time.perf_counter() - t0
@@ -279,9 +283,9 @@ def cmd_match(opts: dict) -> int:
 
 
 def _instances(opts: dict, row) -> list:
-    """row(cfg, seed) of each of the run's --seeds instances, in seed order, on --workers processes."""
-    cfg = xp.PairConfig(n=opts["n"], dim=opts["dim"], side=opts["side"])
-    return map_trials(partial(row, cfg), trial_seeds(opts["seed"], opts["seeds"]), opts["workers"])
+    """row(n, dim, side, seed) of each of the run's --seeds instances, in seed order, on --workers processes."""
+    instance = partial(row, opts["n"], opts["dim"], opts["side"])
+    return map_trials(instance, trial_seeds(opts["seed"], opts["seeds"]), opts["workers"])
 
 
 def cmd_upper_bound(opts: dict) -> int:
@@ -349,12 +353,12 @@ def cmd_recursion_audit(opts: dict) -> int:
     """per-level cost of the hierarchical map, exact per cloud, averaged over --trials clouds, and the smallest constant of the one-step recursion; CSV rows (level, scale, mean_sq, stderr, increment, cross_term, cross_stderr, admissible_c)"""
     config = _config("recursion-audit", opts)
     t0 = time.perf_counter()
-    audit = xp.recursion_audit(
+    rows = xp.recursion_audit(
         opts["n"], opts["dim"], side=opts["side"], trials=opts["trials"],
         master_seed=opts["seed"], workers=opts["workers"],
     )
     header = [f.name for f in fields(xp.AuditRow)]
-    return _emit_rows(opts, config, header, audit.rows, t0, {"admissible_c": audit.admissible_c})
+    return _emit_rows(opts, config, header, rows, t0, {"admissible_c": max(r.admissible_c for r in rows)})
 
 
 def cmd_lemma_check(opts: dict) -> int:
@@ -364,8 +368,8 @@ def cmd_lemma_check(opts: dict) -> int:
     results = []
     for i, n in enumerate(config.n_values):
         for j, theta in enumerate(config.thetas):
-            cfg = xp.BoxCountConfig(n=n, theta=theta, dim=opts["dim"], side=opts["side"])
-            ens = xp.box_counts_ensemble(cfg, opts["trials"], substream_seed(opts["seed"], i, j), workers=opts["workers"])
+            seed = substream_seed(opts["seed"], i, j)
+            ens = xp.box_counts_ensemble(n, theta, opts["trials"], seed, opts["dim"], opts["side"], opts["workers"])
             entry = {"n": n, "theta": theta, "trials": opts["trials"]}
             results.append(entry | binomial.lemma_check(ens, n, theta, opts["c_bound"]))
     return _emit_summary(config, results, {}, t0, opts["json"])

@@ -1,9 +1,9 @@
 """Experiment drivers binding sampling, solvers, maps, and potentials.
 
-Observables are module-level functions over frozen dataclass configs, bound
-with `functools.partial`; forked trial workers inherit them and pickle back only
-their results. Every randomized quantity inside a trial draws from a substream
-derived from the trial seed.
+Observables take the instance shape (N, d, L) as plain arguments and the
+trial seed last, so a `functools.partial` or a closure binds them; forked trial
+workers inherit them and pickle back only their results. Every randomized
+quantity inside a trial draws from a substream derived from the trial seed.
 """
 
 from __future__ import annotations
@@ -18,42 +18,29 @@ from . import dual_potential as dp
 from . import dyadic_transport as dy
 from .binomial import count_in_box
 from .geometry import PointCloud, sample_uniform, substream_seed
-from .stats import ScalingFit, TrialEnsemble, fit_scaling, map_trials, run_ensemble, scaling_shape, trial_seeds
+from .stats import ScalingFit, TrialEnsemble, fit_scaling, map_trials, run_ensemble, scaling_constant, trial_seeds
 
 
-@dataclass(frozen=True)
-class PairConfig:
-    n: int
-    dim: int
-    side: float = 1.0
-
-
-def sample_pair(cfg: PairConfig, seed: int) -> tuple[PointCloud, PointCloud]:
-    x = sample_uniform(cfg.n, cfg.side, cfg.dim, substream_seed(seed, 0))
-    y = sample_uniform(cfg.n, cfg.side, cfg.dim, substream_seed(seed, 1))
+def sample_pair(n: int, dim: int, side: float, seed: int) -> tuple[PointCloud, PointCloud]:
+    x = sample_uniform(n, side, dim, substream_seed(seed, 0))
+    y = sample_uniform(n, side, dim, substream_seed(seed, 1))
     return x, y
 
 
-def matching_cost(cfg: PairConfig, seed: int) -> float:
+def matching_cost(n: int, dim: int, side: float, seed: int) -> float:
     """Exact matching cost of a fresh pair of clouds."""
-    return asg.optimal_cost(*sample_pair(cfg, seed))
+    return asg.optimal_cost(*sample_pair(n, dim, side, seed))
 
 
-@dataclass(frozen=True)
-class BoxCountConfig:
-    n: int
-    theta: float
-    dim: int = 1
-    side: float = 1.0
+def box_counts_ensemble(
+    n: int, theta: float, trials: int, master_seed: int, dim: int = 1, side: float = 1.0, workers: int | None = None
+) -> TrialEnsemble:
+    """Per trial, how many points of a fresh cloud of n points lie in the lemma's box of volume fraction theta."""
 
+    def count(seed: int) -> int:
+        return count_in_box(sample_uniform(n, side, dim, seed), theta)
 
-def box_count(cfg: BoxCountConfig, seed: int) -> int:
-    cloud = sample_uniform(cfg.n, cfg.side, cfg.dim, seed)
-    return count_in_box(cloud, cfg.theta)
-
-
-def box_counts_ensemble(cfg: BoxCountConfig, trials: int, master_seed: int, workers: int | None = None) -> TrialEnsemble:
-    return run_ensemble(partial(box_count, cfg), trials, master_seed, workers)
+    return run_ensemble(count, trials, master_seed, workers)
 
 
 # ---------------------------------------------------------------------------
@@ -75,8 +62,8 @@ def _over(bound: float, optimal: float) -> float:
     return bound / optimal if optimal else 0.0
 
 
-def upper_bound_row(cfg: PairConfig, seed: int) -> UpperBoundRow:
-    x, y = sample_pair(cfg, seed)
+def upper_bound_row(n: int, dim: int, side: float, seed: int) -> UpperBoundRow:
+    x, y = sample_pair(n, dim, side, seed)
     t = dy.build_map(x)
     coupling, optimal = dy.coupling_cost_exact(t, dy.build_map(y)), asg.optimal_cost(x, y)
     return UpperBoundRow(
@@ -102,7 +89,7 @@ class LowerBoundRow:
     lb_over_opt: float
 
 
-def lower_bound_row(cfg: PairConfig, seed: int) -> LowerBoundRow:
+def lower_bound_row(n: int, dim: int, side: float, seed: int) -> LowerBoundRow:
     """The paper's dual gain and the certified lower bound of one instance.
 
     The bound and the optimum come from one solve (`optimal_with_dual`): the
@@ -110,7 +97,7 @@ def lower_bound_row(cfg: PairConfig, seed: int) -> LowerBoundRow:
     mean of the hierarchical potential Phi over the x-cloud; the grid route
     from Phi to a bound (`dual_potential.lower_bound_functional`) is a library
     diagnostic, not this row's bound."""
-    x, y = sample_pair(cfg, seed)
+    x, y = sample_pair(n, dim, side, seed)
     values = dp.potential_values(dp.hierarchical_potential(dy.build_tree(x)), x.points)
     optimal, lower = asg.optimal_with_dual(x, y)
     return LowerBoundRow(
@@ -136,12 +123,12 @@ class SandwichRow:
     ub_over_opt: float
 
 
-def sandwich_row(cfg: PairConfig, seed: int) -> SandwichRow:
+def sandwich_row(n: int, dim: int, side: float, seed: int) -> SandwichRow:
     """Both bounds of one instance around its optimum, each computed once.
 
     The pair is sampled once, each cloud's map built once, and one solve gives
     the optimum together with its certified lower bound."""
-    x, y = sample_pair(cfg, seed)
+    x, y = sample_pair(n, dim, side, seed)
     coupling = dy.coupling_cost_exact(dy.build_map(x), dy.build_map(y))
     optimal, bound = asg.optimal_with_dual(x, y)
     return SandwichRow(
@@ -185,9 +172,7 @@ def scaling_experiment(
         raise ValueError("trials list must match n list")
     results = []
     for i, (n, t) in enumerate(zip(n_values, trials)):
-        cfg = PairConfig(n=n, dim=dim, side=side)
-        ens = run_ensemble(partial(matching_cost, cfg), t, substream_seed(master_seed, i), workers)
-        r = side * n ** (-1.0 / dim)
+        ens = run_ensemble(partial(matching_cost, n, dim, side), t, substream_seed(master_seed, i), workers)
         results.append(
             ScalingResult(
                 n=n,
@@ -195,8 +180,8 @@ def scaling_experiment(
                 trials=t,
                 mean=ens.mean,
                 stderr=ens.stderr,
-                r=r,
-                constant=ens.mean / (r**2 * scaling_shape(n, dim)),
+                r=side * n ** (-1.0 / dim),
+                constant=scaling_constant(n, ens.mean, dim, side),
             )
         )
     fit = fit_scaling([(res.n, res.mean) for res in results], dim, side=side)
@@ -219,17 +204,6 @@ class AuditRow:
     admissible_c: float  # smallest C satisfying the one-step recursion bound
 
 
-@dataclass(frozen=True)
-class RecursionAudit:
-    rows: list
-    admissible_c: float  # max over levels
-
-
-def level_terms(cfg: PairConfig, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """`level_costs_exact` of one fresh cloud of cfg.n points."""
-    return dy.level_costs_exact(dy.build_tree(sample_uniform(cfg.n, cfg.side, cfg.dim, seed)))
-
-
 def recursion_audit(
     n: int,
     dim: int,
@@ -237,8 +211,8 @@ def recursion_audit(
     trials: int = 100,
     master_seed: int = 0,
     workers: int | None = None,
-) -> RecursionAudit:
-    """Per-level costs of the composed map over an ensemble of clouds.
+) -> list[AuditRow]:
+    """Per-level costs of the composed map over an ensemble of clouds, one row a level.
 
     Each cloud's terms are exact (`level_costs_exact`); the error bars are the
     spread over the ensemble. For each level reports E int |S_k - id|^2 against
@@ -250,8 +224,11 @@ def recursion_audit(
     if trials < 2:
         raise ValueError("audit needs at least 2 trials")
     k_star = dy.stopping_level(n, dim)
-    cfg = PairConfig(n=n, dim=dim, side=side)
-    terms = np.array(map_trials(partial(level_terms, cfg), trial_seeds(master_seed, trials), workers))
+
+    def level_terms(seed: int) -> tuple[np.ndarray, np.ndarray]:
+        return dy.level_costs_exact(dy.build_tree(sample_uniform(n, side, dim, seed)))
+
+    terms = np.array(map_trials(level_terms, trial_seeds(master_seed, trials), workers))
     sq_sums, cross_sums = terms[:, 0], terms[:, 1]
     r = side * n ** (-1.0 / dim)
     means = sq_sums.mean(axis=0)
@@ -260,7 +237,6 @@ def recursion_audit(
     cross_errs = cross_sums.std(axis=0, ddof=1) / np.sqrt(trials)
 
     rows = []
-    worst_c = 0.0
     for k in range(k_star + 1):
         if k == 0:
             rows.append(AuditRow(0, dy.level_scale(0, dim, side), means[0], errs[0], 0.0, 0.0, 0.0, 0.0))
@@ -270,8 +246,7 @@ def recursion_audit(
         b_k = (r / lk) ** dim
         increment = means[k] - means[k - 1]
         c_k = max(0.0, increment / (a_k + b_k * means[k - 1]))
-        worst_c = max(worst_c, c_k)
         rows.append(
             AuditRow(k, lk, means[k], errs[k], increment, cross_means[k], cross_errs[k], c_k)
         )
-    return RecursionAudit(rows=rows, admissible_c=worst_c)
+    return rows

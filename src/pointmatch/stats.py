@@ -235,6 +235,13 @@ def scaling_shape(n: int, dim: int) -> float:
     return 1.0
 
 
+def scaling_constant(n: int, mean: float, dim: int, side: float = 1.0) -> float:
+    """c(N) = mean / (r^2 g(N)), r = L N^(-1/d): one scalar expression, so the
+    scaling rows and their fit agree bit for bit."""
+    r = side * n ** (-1.0 / dim)
+    return mean / (r**2 * scaling_shape(n, dim))
+
+
 def scaling_model_name(dim: int) -> str:
     return {1: "linear-in-N", 2: "linear-in-lnN"}.get(dim, "constant")
 
@@ -266,10 +273,7 @@ def fit_scaling(points, dim: int, side: float = 1.0) -> ScalingFit:
     if dim == 2 and any(n < 2 for n, _ in pts):
         raise ValueError("d = 2 shape ln N requires N >= 2")
     ns = np.array([n for n, _ in pts], dtype=np.float64)
-    means = np.array([m for _, m in pts])
-    r_sq = (side * ns ** (-1.0 / dim)) ** 2
-    g = np.array([scaling_shape(int(n), dim) for n in ns])
-    constants = means / (r_sq * g)
+    constants = np.array([scaling_constant(n, m, dim, side) for n, m in pts])
     slope, _ = np.polyfit(np.log(ns), constants, 1)
     c_bar = float(constants.mean())
     return ScalingFit(

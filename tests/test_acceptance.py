@@ -16,14 +16,7 @@ from pointmatch import dual_potential as dp
 from pointmatch import dyadic_transport as dy
 from pointmatch import geometry as geo
 from pointmatch import stats
-from pointmatch.experiments import (
-    BoxCountConfig,
-    PairConfig,
-    box_counts_ensemble,
-    matching_cost,
-    sample_pair,
-    scaling_experiment,
-)
+from pointmatch.experiments import box_counts_ensemble, matching_cost, sample_pair, scaling_experiment
 
 MASTER_SEED = 20_260_808
 
@@ -37,8 +30,7 @@ def test_criterion_01_d1_closed_form():
     lines = []
     ok = True
     for n in (1, 2, 10, 100):
-        cfg = PairConfig(n=n, dim=1)
-        ens = stats.run_ensemble(partial(matching_cost, cfg), 10_000, geo.substream_seed(MASTER_SEED, 1, n))
+        ens = stats.run_ensemble(partial(matching_cost, n, 1, 1.0), 10_000, geo.substream_seed(MASTER_SEED, 1, n))
         target = 1.0 / (3.0 * (n + 1))
         dev = abs(ens.mean - target) / ens.stderr
         ok &= dev <= 3.0
@@ -53,8 +45,8 @@ def test_criterion_02_birkhoff_equivalence():
     worst = 0.0
     for _ in range(200):
         n = int(rng.integers(1, 7))
-        cfg = PairConfig(n=n, dim=int(rng.integers(1, 4)))
-        x, y = sample_pair(cfg, int(rng.integers(2**62)))
+        dim = int(rng.integers(1, 4))
+        x, y = sample_pair(n, dim, 1.0, int(rng.integers(2**62)))
         c = asg.cost_matrix(x, y)
         brute = asg.match_bruteforce(c).cost
         solver = asg.match_solver(c).cost
@@ -68,13 +60,12 @@ def test_criterion_02_birkhoff_equivalence():
 def test_criterion_03_sandwich_property():
     # certified dual lower bound <= exact optimal cost <= dyadic coupling cost, every
     # instance; the optimum comes from a plain solve, not the one behind the bound
-    cfg = PairConfig(n=64, dim=2)
     violations = 0
     min_upper_margin = math.inf
     min_lower_margin = math.inf
     for t in range(100):
         seed = geo.substream_seed(MASTER_SEED, 3, t)
-        x, y = sample_pair(cfg, seed)
+        x, y = sample_pair(64, 2, 1.0, seed)
         coupling = dy.coupling_cost_exact(dy.build_map(x), dy.build_map(y))
         bound = asg.optimal_with_dual(x, y)[1]
         optimal = asg.match_solver(asg.cost_matrix(x, y)).cost
@@ -143,8 +134,7 @@ def test_criterion_07_lemma_moments():
     # empirical mean and variance of the box count over 1000 seeds
     for i, (n, theta) in enumerate([(10**3, 0.125), (10**4, 0.5)]):
         trials = 1000
-        cfg = BoxCountConfig(n=n, theta=theta, dim=1)
-        ens = box_counts_ensemble(cfg, trials, geo.substream_seed(MASTER_SEED, 7, i))
+        ens = box_counts_ensemble(n, theta, trials, geo.substream_seed(MASTER_SEED, 7, i))
         mean, var, _ = bi.moment_bounds(n, theta)
         mean_se = math.sqrt(var / trials)
         mu4 = bi.binomial_fourth_central_moment(n, theta)

@@ -12,7 +12,7 @@ from scipy.optimize import linear_sum_assignment
 
 from pointmatch import assignment as asg
 from pointmatch import geometry as geo
-from pointmatch.experiments import PairConfig, matching_cost
+from pointmatch.experiments import matching_cost
 from pointmatch.stats import run_ensemble
 
 
@@ -131,10 +131,9 @@ def test_optimal_cost_is_optimal_in_1d(seed):
 
 def test_d1_closed_form_n10():
     # E[(1/N) min sum |Y - X|^2] = 1/(3(N+1)) for uniform clouds on [0,1]
-    cfg = PairConfig(n=10, dim=1)
     from functools import partial
 
-    ens = run_ensemble(partial(matching_cost, cfg), 10_000, 123)
+    ens = run_ensemble(partial(matching_cost, 10, 1, 1.0), 10_000, 123)
     target = 1.0 / 33.0
     assert abs(ens.mean - target) <= 3 * ens.stderr
 

@@ -8,7 +8,7 @@ from scipy.stats import chi2
 
 from pointmatch import binomial as bi
 from pointmatch import geometry as geo
-from pointmatch.experiments import BoxCountConfig, box_counts_ensemble
+from pointmatch.experiments import box_counts_ensemble
 from pointmatch.stats import TrialEnsemble
 
 
@@ -34,9 +34,8 @@ def test_slab_count_is_monotone_in_theta(seed, dim, side):
 
 def test_count_mean_matches_lemma():
     # E[N_Q] = N * theta over an ensemble of seeds
-    cfg = BoxCountConfig(n=10_000, theta=0.125, dim=1)
-    ens = box_counts_ensemble(cfg, trials=1000, master_seed=17)
-    mean, var, _ = bi.moment_bounds(cfg.n, cfg.theta)
+    ens = box_counts_ensemble(10_000, 0.125, trials=1000, master_seed=17)
+    mean, var, _ = bi.moment_bounds(10_000, 0.125)
     se = math.sqrt(var / ens.trials)
     assert abs(ens.mean - mean) <= 4 * se
 
@@ -85,16 +84,16 @@ def test_lemma_check_needs_two_trials():
 def test_concentration_monte_carlo():
     """Empirical p=2 statistic sits near sqrt((1-theta)/(N theta)) and the
     inverse-count statistic near 1/(N theta); both clear the scaled bounds."""
-    cfg = BoxCountConfig(n=10_000, theta=1.0 / 16.0, dim=1)
-    rep = bi.lemma_check(box_counts_ensemble(cfg, trials=1000, master_seed=23), cfg.n, cfg.theta)
-    nt = cfg.n * cfg.theta
+    n, theta = 10_000, 1.0 / 16.0
+    rep = bi.lemma_check(box_counts_ensemble(n, theta, trials=1000, master_seed=23), n, theta)
+    nt = n * theta
     assert rep["p2_stat"] <= 3.0 / math.sqrt(nt)
     assert rep["inv_stat"] <= 10.0 / nt
     # oracle: exact binomial sums, brute force over the support
-    ks = np.arange(cfg.n + 1)
+    ks = np.arange(n + 1)
     logpmf = (
-        [math.lgamma(cfg.n + 1) - math.lgamma(k + 1) - math.lgamma(cfg.n - k + 1)
-         + k * math.log(cfg.theta) + (cfg.n - k) * math.log(1 - cfg.theta) for k in ks]
+        [math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+         + k * math.log(theta) + (n - k) * math.log(1 - theta) for k in ks]
     )
     pmf = np.exp(np.array(logpmf))
     exact_p2 = math.sqrt(float((pmf * (ks / nt - 1.0) ** 2).sum()))

@@ -64,7 +64,7 @@ def test_match_solver_prints_the_warm_started_optimum(capsys, monkeypatch, dim, 
     monkeypatch.setattr(asg, "_candidate_shift", spy)
     code, out, err = run_cli(capsys, "match", "--n", str(n), "--dim", str(dim), "--seed", "1")
     assert code == 0, err
-    x, y = xp.sample_pair(xp.PairConfig(n=n, dim=dim), 1)
+    x, y = xp.sample_pair(n, dim, 1.0, 1)
     assert json.loads(out)["cost"] == asg.optimal_cost(x, y) == asg.match_solver(asg.cost_matrix(x, y)).cost
     assert shifts == ([True, True] if n >= asg.CANDIDATE_MIN_N and dim >= 3 else [])
 
@@ -356,7 +356,7 @@ FAILING_SEED = substream_seed(5, 2)
 TEST_PID = os.getpid()
 
 
-def fail_on_third_instance(cfg, seed):
+def fail_on_third_instance(n, dim, side, seed):
     # forked children inherit the patched row function; other instances give a stand-in row
     if seed == FAILING_SEED:
         raise ArithmeticError("injected")
@@ -373,7 +373,7 @@ def test_failing_instance_exits_1_naming_trial_and_seed(capsys, monkeypatch, sub
     assert f"trial 2 (seed {FAILING_SEED}) failed: ArithmeticError('injected')" in err
 
 
-def exit_on_third_instance(cfg, seed):
+def exit_on_third_instance(n, dim, side, seed):
     # with 4 seeds and 2 workers, trial 2 is the first of the forked child's share
     if seed == FAILING_SEED and os.getpid() != TEST_PID:
         os._exit(3)
@@ -424,6 +424,26 @@ def test_bad_seed_env_var_exits_2_naming_it_before_any_work(capsys, monkeypatch,
     assert cli.SEED_ENV_VAR in err
 
 
+@pytest.mark.parametrize("dim,n_values", [(3, [9, 30, 78]), (2, [15, 26, 33])])
+def test_scaling_rows_and_fit_share_each_constant(dim, n_values):
+    # at these N numpy's array power and Python's scalar power differ in the last bit of r
+    results, fit = cli.xp.scaling_experiment(n_values, [3] * 3, dim=dim, workers=1)
+    assert [r.constant for r in results] == list(fit.per_point_constants)
+
+
+@pytest.mark.parametrize("method,limit", [("brute", asg.BRUTE_FORCE_LIMIT), ("lp", asg.LP_SIZE_LIMIT)])
+def test_match_rejects_n_above_the_oracle_limit_before_sampling(capsys, monkeypatch, method, limit):
+    def no_work(*args, **kwargs):
+        raise AssertionError("an oversized instance reached the oracle")
+
+    monkeypatch.setattr(cli.xp, "sample_pair", no_work)
+    monkeypatch.setattr(cli.asg, "cost_matrix", no_work)
+    code, out, err = run_cli(capsys, "match", "--n", str(limit + 1), "--method", method)
+    assert code == 2
+    assert out == ""
+    assert f"is limited to N <= {limit}, got N = {limit + 1}" in err
+
+
 def test_scaling_experiment_needs_one_trial_count_per_n():
     with pytest.raises(ValueError, match="trials list must match n list"):
         cli.xp.scaling_experiment([4, 8, 16], [2, 2], dim=1, workers=1)
@@ -450,7 +470,7 @@ def test_sandwich_d1_tight_upper_bound_is_not_a_violation(capsys):
     assert json.loads(out)["fit"] == {"violations": 0, "upper_tight": 20}
 
 
-def violate_on_third_instance(cfg, seed):
+def violate_on_third_instance(n, dim, side, seed):
     # a lower bound above the optimum on one seed; forked children inherit the patch
     lower = 2.0 if seed == FAILING_SEED else 0.5
     return cli.xp.SandwichRow(seed, lower, 1.0, 1.5, lower, 1.5)
@@ -577,8 +597,8 @@ def test_upper_bound_csv_schema(tmp_path, capsys):
 @pytest.mark.parametrize("row", ["upper_bound_row", "sandwich_row"])
 def test_ub_over_opt_is_zero_for_a_zero_optimum(monkeypatch, row):
     cloud = cli.xp.sample_uniform(16, 1.0, 2, 3)
-    monkeypatch.setattr(cli.xp, "sample_pair", lambda cfg, seed: (cloud, cloud))
-    result = getattr(cli.xp, row)(cli.xp.PairConfig(n=16, dim=2), 0)
+    monkeypatch.setattr(cli.xp, "sample_pair", lambda n, dim, side, seed: (cloud, cloud))
+    result = getattr(cli.xp, row)(16, 2, 1.0, 0)
     assert result.optimal_cost == result.coupling_cost == 0.0
     assert result.ub_over_opt == 0.0
 

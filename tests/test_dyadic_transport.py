@@ -513,16 +513,16 @@ def test_level_costs_exact_match_monte_carlo_oracle(dim, n):
 
 
 def test_audit_level_zero_is_identity():
-    audit = xp.recursion_audit(16, 1, trials=5, master_seed=0)
-    assert audit.rows[0].mean_sq == 0.0
-    assert audit.rows[0].increment == 0.0
+    rows = xp.recursion_audit(16, 1, trials=5, master_seed=0)
+    assert rows[0].mean_sq == 0.0
+    assert rows[0].increment == 0.0
 
 
 def test_audit_d1_increments_grow_with_scale():
     # d = 1: per-level increments scale like L_k, so coarse levels dominate
-    audit = xp.recursion_audit(64, 1, trials=120, master_seed=5)
-    inc = np.array([row.increment for row in audit.rows[1:]])
-    scales = np.array([row.scale for row in audit.rows[1:]])
+    rows = xp.recursion_audit(64, 1, trials=120, master_seed=5)
+    inc = np.array([row.increment for row in rows[1:]])
+    scales = np.array([row.scale for row in rows[1:]])
     assert inc[0] > inc[-1]
     slope = np.polyfit(np.log(scales), np.log(inc), 1)[0]
     assert 0.5 <= slope <= 1.5
@@ -530,6 +530,6 @@ def test_audit_d1_increments_grow_with_scale():
 
 def test_audit_d2_increments_level_independent():
     # critical dimension: every level contributes comparably
-    audit = xp.recursion_audit(1024, 2, trials=80, master_seed=6)
-    inc = np.array([row.increment for row in audit.rows[1:]])
+    rows = xp.recursion_audit(1024, 2, trials=80, master_seed=6)
+    inc = np.array([row.increment for row in rows[1:]])
     assert inc.max() / inc.min() <= 4.0

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pointmatch import stats
-from pointmatch.experiments import PairConfig, matching_cost
+from pointmatch.experiments import matching_cost
 from pointmatch.geometry import substream_seed
 
 
@@ -45,8 +45,7 @@ def test_uniform_mean():
 
 
 def test_d1_matching_cost_mean():
-    cfg = PairConfig(n=10, dim=1)
-    ens = stats.run_ensemble(partial(matching_cost, cfg), 4000, 8)
+    ens = stats.run_ensemble(partial(matching_cost, 10, 1, 1.0), 4000, 8)
     assert abs(ens.mean - 1.0 / 33.0) <= 3 * ens.stderr
 
 
