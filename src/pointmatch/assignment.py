@@ -18,12 +18,16 @@ rounding allowance, is a certified lower bound on the optimum. The potential
 lives here rather than in `dual_potential`, which imports this module through
 `dyadic_transport`.
 
-In d >= 3, from N = CANDIDATE_MIN_N, a second shift follows: the dual of the
-sparse assignment on each row's few cheapest reduced entries. Above the
-critical dimension d = 2 a point's optimal partner is among its nearest
-ones, so that dual is close to the dense optimum's and the solver finishes
-about twice as fast again. The bound is read from f, g and h before this
-shift, and the cost from the points, so neither moves.
+In d >= 3, from N = CANDIDATE_MIN_N, no N x N matrix is built. Above the
+critical dimension d = 2 a point's optimal partner is among its few cheapest
+candidates, so the sparse assignment on each row's and each column's
+CANDIDATE_K cheapest reduced entries, found by kd-tree queries on the
+power-diagram lift of the potentials, is checked against every other entry by one more lifted query;
+violating entries join and it is solved again (column generation, as in
+Schmitzer's sparse multiscale transport solver). The check certifies the
+permutation: its cost is within a computed gap, at most CERTIFIED_GAP of it,
+of the optimum. g and h are the dense route's floats, so the bound does not
+move; where a step fails, the dense route runs.
 """
 
 from __future__ import annotations
@@ -35,19 +39,22 @@ import numpy as np
 from scipy import sparse
 from scipy.fft import dctn, idctn
 from scipy.optimize import linear_sum_assignment, linprog
+from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 from .geometry import PointCloud
 
 BRUTE_FORCE_LIMIT = 10
 LP_SIZE_LIMIT = 64
-# The candidate shift of `optimal_with_dual` (d >= 3): from N = CANDIDATE_MIN_N, each row's
-# CANDIDATE_K cheapest entries, Bellman-Ford capped at CANDIDATE_ROUNDS rounds (about 250
-# sufficed at N = 4096), rows scanned CANDIDATE_BLOCK entries at a time.
+# The sparse route of `optimal_with_dual` (d >= 3): from N = CANDIDATE_MIN_N, each row's and
+# column's CANDIDATE_K cheapest reduced entries, Bellman-Ford capped at CANDIDATE_ROUNDS rounds (about
+# 250 sufficed at N = 4096), at most CHECK_ROUNDS solves (1-3 sufficed up to N = 16384), and a
+# certified gap of at most CERTIFIED_GAP of the cost.
 CANDIDATE_MIN_N = 1024
 CANDIDATE_K = 10
 CANDIDATE_ROUNDS = 1024
-CANDIDATE_BLOCK = 1 << 16
+CHECK_ROUNDS = 8
+CERTIFIED_GAP = 1e-12
 
 
 @dataclass(frozen=True)
@@ -94,13 +101,18 @@ def perm_cost(c: CostMatrix, perm: np.ndarray) -> float:
     return float(c.entries[np.arange(c.n), perm].mean())
 
 
+def _sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """|a - b|^2 over the last axis, broadcast, summed one axis at a time as `cdist` sums it."""
+    diff = a - b
+    sq = np.zeros(diff.shape[:-1])
+    for i in range(diff.shape[-1]):
+        sq += diff[..., i] * diff[..., i]
+    return sq
+
+
 def pair_cost(x: PointCloud, y: PointCloud, perm: np.ndarray) -> float:
-    """`perm_cost` from the points: each |Y_perm(n) - X_n|^2 summed one axis at a time, as `cdist` does."""
-    diff = x.points - y.points[perm]
-    sq = np.zeros(x.n)
-    for axis in diff.T:
-        sq += axis * axis
-    return float(sq.mean())
+    """`perm_cost` from the points: each |Y_perm(n) - X_n|^2 as `cdist` computes it."""
+    return float(_sq_dist(x.points, y.points[perm]).mean())
 
 
 def coupling_cost(c: CostMatrix, weights: np.ndarray) -> float:
@@ -235,15 +247,14 @@ def optimal_with_dual(x: PointCloud, y: PointCloud) -> tuple[float, float]:
     row minima h. Each step subtracts a row or column constant, so the optimal
     permutation stays, and the solver finds it several times sooner. f is computed before the
     matrix exists, so the matrix is the only N x N array alive at any time.
-    In d >= 3 with N >= CANDIDATE_MIN_N the matrix is then shifted once more,
-    by row and column constants from the sparse assignment on each row's
-    CANDIDATE_K cheapest entries (`_candidate_shift`), which again leaves the
-    optimal permutation in place; where that assignment or its duals are not
-    found, the matrix is solved as reduced. The solver's own cost would read
-    reduced entries, so the cost comes from the points, entry by entry as
-    `cdist` computes it. The reduction is the c-transform pair of f: in exact
-    arithmetic f_n + g_m + h_n <= C_nm. The bound below reads only f, g and h,
-    taken before the second shift, so it is the same with or without it.
+    In d >= 3 with N >= CANDIDATE_MIN_N no matrix is built: `_sparse_optimum`
+    reads g and h off kd-tree queries on the lift, as the same floats (it
+    rules out the lift's rounding, or hands over to the matrix), and returns a
+    permutation certified within CERTIFIED_GAP of the optimum. The solver's
+    own cost would read reduced entries, so the cost comes from the points,
+    entry by entry as `cdist` computes it. The reduction is the c-transform
+    pair of f: in exact arithmetic f_n + g_m + h_n <= C_nm. The bound below
+    reads only f, g and h, so it is the same on either route.
 
     The lower bound is max(0, T - a). T = (sum f + sum g + sum h) / N
     (d = 1: (sum u + sum v) / N), summed by `math.fsum` and divided once. The
@@ -260,6 +271,14 @@ def optimal_with_dual(x: PointCloud, y: PointCloud) -> tuple[float, float]:
       fl(e - g) = e - g + r2, |r2| <= u_r (|e| + |g|); h_n is at most every
       fl(e - g) of its row, and g, h are exact minima. So f + g + h <= C' +
       1.01 eps M <= C + (0.51 d + 2.1) eps M.
+    - The lift's rounding (d >= 3, N >= CANDIDATE_MIN_N): each g_m and h_n is
+      the least of its entries recomputed in the dense rounding over every
+      point the lift leaves within its rounding of the nearest, (d + 16) eps
+      of the lifted distances (`_sparse_optimum` derives it), and the route
+      hands over to the matrix where more than CANDIDATE_K points are that
+      close (a row with an entry of exactly 0, the least possible, needs no
+      margin). So g and h are still exact minima, and the line above holds
+      with nothing added for the lift.
     - d = 1, per step k of the sorted staircase: u_k + v_k misses C_kk by the
       rounding of u_k and of C'_kk, u_k + v_(k+1) misses C_(k,k+1) by those
       plus the roundings of the step and of the cumulative sum, in all
@@ -290,6 +309,11 @@ def _solve_with_dual(x: PointCloud, y: PointCloud) -> tuple[float, list]:
         cost, u, v = staircase_dual(x, y)
         return cost, [u, v]
     f = poisson_dual(x, y)
+    if x.dim >= 3 and x.n >= CANDIDATE_MIN_N:
+        found = _sparse_optimum(x, y, f)
+        if found is not None:
+            cost, g, h, _ = found
+            return cost, [f, g, h]
     c = cost_matrix(x, y)
     e = c.entries
     e -= f[:, None]
@@ -297,86 +321,178 @@ def _solve_with_dual(x: PointCloud, y: PointCloud) -> tuple[float, list]:
     e -= g
     h = e.min(axis=1)
     e -= h[:, None]
-    if x.dim >= 3 and x.n >= CANDIDATE_MIN_N:
-        _candidate_shift(e)
     return pair_cost(x, y, match_solver(c).perm), [f, g, h]
 
 
-def _candidate_shift(e: np.ndarray) -> bool:
-    """Shift the reduced matrix in place by a dual of its k-cheapest-candidate assignment.
+def _lifted_tree(points: np.ndarray, pot: np.ndarray) -> tuple[cKDTree, float]:
+    """A kd-tree over the points lifted by sqrt(T - pot), T = max pot, and T.
 
-    Each row keeps its CANDIDATE_K smallest entries w, found a block of rows
-    at a time. They go to the sparse assignment solver (LAPJVsp) as integer
-    weights W = rint(w / unit) + 1 >= 1 with unit = max(w) / 2^32: it needs
-    non-zero weights, and on float weights it can loop forever where rounding
-    makes ties inconsistent (seen on lattice clouds), while integers below
-    2^33 keep its sums exact up to N = 2^19. Its matching sigma is optimal
-    for W, so Bellman-Ford over the candidate edges settles: in one direction
-    to the largest row potentials u <= 0, in the other to the largest column
-    potentials v <= 0, each with its partner read off sigma. Both are duals of
-    W (u_i + v_j <= W_ij, equality on sigma), and so is their mean, which
-    leaves fewer negative entries outside the candidates than either one: the
-    dense solver then took 0.15-0.21 s at d = 3, N = 4096, against 0.33-0.46 s
-    from the column potentials alone. The mean, times unit, is subtracted.
-    Returns False, leaving e as it was, when N <= k, when the candidates hold
-    no perfect matching or when either pass has not settled within
-    CANDIDATE_ROUNDS rounds.
+    The squared distance from (q, 0) to lifted point i is |q - p_i|^2 + T - pot_i,
+    so the nearest lifted points are the least |q - p_i|^2 - pot_i: a power
+    diagram query (Aurenhammer 1987), the c-transform of pot without the matrix.
     """
-    n, k = e.shape[0], CANDIDATE_K
-    if n <= k:
-        return False
+    top = float(pot.max())
+    return cKDTree(np.column_stack([points, np.sqrt(top - pot)])), top
+
+
+def _nearest(tree: cKDTree, points: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Indices and squared lifted distances of the k nearest lifted points to (points, 0)."""
+    dist, idx = tree.query(np.column_stack([points, np.zeros(len(points))]), k=k)
+    return idx, dist * dist
+
+
+def _lifted_nearest(
+    points: np.ndarray, pot: np.ndarray, queries: np.ndarray, delta: float, spread: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each query's CANDIDATE_K nearest lifted points, nearest first, and whether they surely hold its least entry.
+
+    They hold every point of least |q - p|^2 - pot in the dense rounding when
+    the next lifted distance clears the first by the lift's rounding (see
+    `_sparse_optimum`).
+    """
+    idx, v = _nearest(_lifted_tree(points, pot)[0], queries, CANDIDATE_K + 1)
+    return idx[:, :-1], v[:, -1] - v[:, 0] >= delta * (v[:, -1] + v[:, 0] + spread)
+
+
+def _sparse_optimum(x: PointCloud, y: PointCloud, f: np.ndarray) -> tuple[float, np.ndarray, np.ndarray, float] | None:
+    """The exact optimum without the N x N matrix: (cost, g, h, gap), or None.
+
+    Used in d >= 3, where each point's optimal partner is among its few cheapest
+    candidates. Every entry is recomputed as the dense route rounds it: C' as
+    `cdist` sums it (`_sq_dist`), then ((C' - f) - g) - h.
+    - g: each column's least C' - f among its CANDIDATE_K nearest points of x
+      lifted by f (`_lifted_nearest`); h: each row's least (C' - f) - g among
+      its CANDIDATE_K nearest points of y lifted by g. Both sets of nearest
+      points are the candidates: the rows' alone left one N = 4096 instance of
+      the benchmark without a perfect matching. g and h are the dense route's
+      floats: the lifted squared distance V = C + T - pot is found by the
+      tree within (d + 7.1) u_r V (u_r = eps / 2: the lift coordinate, d + 1
+      squares and their sum, the root and its square), and the dense entry
+      plus T lies within (d + 3.1) u_r V + 2 u_r s of V, s = max|f|
+      (+ max|g| for h). With delta = (d + 16) eps, a (k + 1)-th lifted
+      distance V' that clears the first, V, by delta (V' + V + s) rules out
+      every point from it on, the tree's own pruning taken as exact in its
+      float distance. A row
+      that is some column's nearest needs no margin: its entry there is
+      fl(g_m - g_m) = 0, and no entry is below 0, since g_m is the least of
+      its column. Such ties are how a row's (k + 1)-th entry can reach its
+      first on random clouds.
+    - The candidates' entries w >= 0 go to LAPJVsp as integer weights
+      W = rint(w / unit) + 1 >= 1 with unit = max(w) / 2^32: it needs non-zero
+      weights, and on float weights it can loop forever where rounding makes
+      ties inconsistent (seen on lattice clouds), while integers below 2^33
+      keep its sums exact up to N = 2^19. Its matching sigma is optimal for W.
+    - Bellman-Ford over the edges, on the float w, gives row duals a <= 0 and
+      column duals b_j = w_(rho(j), j) - a_(rho(j)), tight on sigma. Where
+      sigma misses the optimum of w on its edges by more than the rounding of
+      w (tol = delta (max w + max|f| + max|g| + max|h|) an edge), it does not
+      settle.
+    - The check: one nearest query of y lifted by G = g + b gives, for every
+      row, q_n = min_m (C_nm - G_m) + max G within delta (q_n + |max G|).
+      Rows short of f_n + h_n + a_n by more than that add their violating
+      edges among their CANDIDATE_K nearest, and the sparse solve runs again.
+    - The certificate: lambda_n = q_n - max G - delta (q_n + |max G|) and G
+      are a dual pair of the exact costs C of the points as given, whatever a
+      and b are, so their optimum is at least
+      B = max(0, (sum lambda + sum G) / N - 2 eps (mean|lambda| + mean|G|)),
+      the fsum rounding included, and gap = cost - B + eps (cost + B) bounds
+      cost - B: cost - gap <= optimum. The duals only make it tight.
+    Returns None, for the dense route, when N <= CANDIDATE_K, when a squared
+    distance would overflow, when the lift cannot rule a point out, when the
+    candidates hold no perfect matching, when Bellman-Ford has not settled,
+    after CHECK_ROUNDS rounds, or when gap > CERTIFIED_GAP cost.
+    """
+    n, k = x.n, CANDIDATE_K
+    xs, ys = x.points, y.points
+    eps = np.finfo(np.float64).eps
+    delta = (x.dim + 16) * eps
+    reach = float(np.abs(xs).max()) + float(np.abs(ys).max())
+    if n <= k or not math.isfinite(x.dim * reach * reach):
+        return None
+    near, sure = _lifted_nearest(xs, f, ys, delta, float(np.abs(f).max()))
+    if not sure.all():
+        return None
+    g = (_sq_dist(xs[near], ys[:, None]) - f[near]).min(axis=1)
+    cands, sure = _lifted_nearest(ys, g, xs, delta, float(np.abs(f).max() + np.abs(g).max()))
+    h = ((_sq_dist(xs[:, None], ys[cands]) - f[:, None]) - g[cands]).min(axis=1)
+    if not (sure | (h == 0.0)).all():
+        return None
+    spread = float(np.abs(f).max() + np.abs(g).max() + np.abs(h).max())
+
+    def reduced(keys):
+        """Rows, columns and reduced entries of the edges n N + m, in the dense rounding."""
+        r, c = keys // n, keys % n
+        return r, c, ((_sq_dist(xs[r], ys[c]) - f[r]) - g[c]) - h[r]
+
+    # each row's k nearest and each column's k nearest, so that no column is left with too few rows
+    keys = np.union1d(np.arange(n).repeat(k) * n + cands.ravel(), near.ravel() * n + np.arange(n).repeat(k))
     from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
-    cols = np.empty((k, n), dtype=np.intp)  # cols[:, i]: the candidates of row i
-    step = max(1, CANDIDATE_BLOCK // n)
-    for start in range(0, n, step):
-        cols[:, start : start + step] = np.argpartition(e[start : start + step], k - 1, axis=1)[:, :k].T
-    w = e[np.arange(n), cols]
-    unit = float(w.max()) / 2**32 or 1.0
-    weights = np.rint(w / unit) + 1.0
-    heads = cols.T.ravel()  # row i's candidates at i k, ..., i k + k - 1
-    graph = sparse.csr_array((weights.T.ravel(), heads, np.arange(0, n * k + 1, k)), shape=(n, n))
-    try:
-        sigma = min_weight_full_bipartite_matching(graph)[1]
-    except ValueError:
-        return False
-    rho = np.empty(n, dtype=np.intp)
-    rho[sigma] = np.arange(n)
-    row_w = weights[(cols == sigma).argmax(axis=0), np.arange(n)]  # W_(i, sigma(i))
-    col_w = row_w[rho]  # W_(rho(j), j)
-    # row i's in-edges come from the rows matched to its candidates: u_i <= u_rho(j) + W_ij - W_rho(j)j
-    u = _settle(rho[cols], weights - col_w[cols])
-    # column j's in-edges come from the rows listing j, padded to the largest in-degree with +inf
-    order = np.argsort(heads, kind="stable")
-    deg = np.bincount(heads, minlength=n)
-    slot = np.arange(n * k) - np.repeat(np.cumsum(deg) - deg, deg)
-    tails = np.zeros((deg.max(), n), dtype=np.intp)
-    lengths = np.full(tails.shape, np.inf)
-    tails[slot, heads[order]] = np.repeat(sigma, k)[order]
-    lengths[slot, heads[order]] = (weights - row_w).T.ravel()[order]
-    v = _settle(tails, lengths)
-    if u is None or v is None:
-        return False
-    row_shift = unit * (0.5 * (u + row_w - v[sigma]) - 1.0)
-    col_shift = unit * 0.5 * (v + col_w - u[rho])
-    for start in range(0, n, step):
-        e[start : start + step] -= row_shift[start : start + step, None] + col_shift
-    return True
+    for _ in range(CHECK_ROUNDS):
+        rows, cols, w = reduced(keys)  # sorted by row
+        deg = np.bincount(rows, minlength=n)
+        first = np.cumsum(deg) - deg
+        unit = float(w.max()) / 2**32 or 1.0
+        graph = sparse.csr_array((np.rint(w / unit) + 1.0, cols, np.append(first, rows.size)), shape=(n, n))
+        try:
+            sigma = min_weight_full_bipartite_matching(graph)[1]
+        except ValueError:
+            return None
+        rho = np.empty(n, dtype=np.intp)
+        rho[sigma] = np.arange(n)
+        on = cols == sigma[rows]
+        w_col = np.empty(n)
+        w_col[cols[on]] = w[on]  # w_(rho(j), j)
+        # row i's in-edges come from the rows matched to its columns: a_i <= a_rho(j) + w_ij - w_rho(j)j
+        tails = np.zeros((deg.max(), n), dtype=np.intp)
+        lengths = np.full(tails.shape, np.inf)
+        slot = np.arange(rows.size) - first[rows]
+        tails[slot, rows] = rho[cols]
+        lengths[slot, rows] = w - w_col[cols]
+        a = _settle(tails, lengths, delta * (float(w.max()) + spread))
+        if a is None:
+            return None
+        b = w_col - a[rho]
+        big_g = g + b
+        tree, top = _lifted_tree(ys, big_g)
+        q = _nearest(tree, xs, 1)[1]
+        slack = delta * (q + abs(top))
+        low = q - top
+        short = np.flatnonzero(low + slack < f + h + a)
+        if short.size == 0:
+            break
+        r, c, wr = reduced(np.repeat(short, k) * n + _nearest(tree, xs[short], k)[0].ravel())
+        grown = np.union1d(keys, (r * n + c)[wr < a[r] + b[c]])
+        if grown.size == keys.size:
+            break
+        keys = grown
+    else:
+        return None
+    cost = pair_cost(x, y, sigma)
+    lam = low - slack
+    rounding = 2 * eps * float(np.abs(lam).mean() + np.abs(big_g).mean())
+    bound = max(0.0, (math.fsum(lam) + math.fsum(big_g)) / n - rounding)
+    gap = cost - bound + eps * (cost + bound)
+    if not gap <= CERTIFIED_GAP * cost:
+        return None
+    return cost, g, h, gap
 
 
-def _settle(tails: np.ndarray, lengths: np.ndarray) -> np.ndarray | None:
-    """The largest p <= 0 with p_h <= p_t + l for every edge t -> h, or None.
+def _settle(tails: np.ndarray, lengths: np.ndarray, tol: float) -> np.ndarray | None:
+    """A p <= 0 with p_h <= p_t + l + tol for every edge t -> h, or None.
 
     Column h of the (D, N) arrays lists the tails and lengths of the edges into
-    node h. Jacobi Bellman-Ford from p = 0; None if it has not settled within
-    CANDIDATE_ROUNDS rounds.
+    node h. Jacobi Bellman-Ford from p = 0, until no node falls by more than
+    tol in a round; None if that has not happened within CANDIDATE_ROUNDS
+    rounds. tol lets a cycle of zero length, which rounding may make a last
+    bit negative, settle.
     """
     p = np.zeros(tails.shape[1])
     for _ in range(CANDIDATE_ROUNDS):
         reach = p[tails]
         reach += lengths
         best = reach.min(axis=0)
-        if not (best < p).any():
+        if not (best < p - tol).any():
             return p
         np.minimum(p, best, out=p)
     return None

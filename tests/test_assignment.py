@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
+from scipy.sparse import csgraph
 
 from pointmatch import assignment as asg
 from pointmatch import geometry as geo
@@ -223,25 +224,41 @@ def test_poisson_dual_rejects_mismatched_clouds():
         asg.poisson_dual(*(geo.sample_uniform(n, 1.0, 2, 0) for n in (16, 17)))
 
 
-# --- candidate shift ----------------------------------------------------------
+# --- sparse route (d >= 3) -------------------------------------------------------
+# The test names keep "candidate_shift": the sparse route replaced the dense candidate shift.
 
 
 @pytest.fixture
 def shifts(monkeypatch):
-    """Force the candidate shift at every N and record what each call returned."""
+    """Force the sparse route at every N and record whether each call returned an optimum."""
     monkeypatch.setattr(asg, "CANDIDATE_MIN_N", 1)
     ran = []
-    shift = asg._candidate_shift
+    sparse_optimum = asg._sparse_optimum
 
-    def spy(e):
-        ran.append(shift(e))
-        return ran[-1]
+    def spy(x, y, f):
+        found = sparse_optimum(x, y, f)
+        ran.append(found is not None)
+        return found
 
-    monkeypatch.setattr(asg, "_candidate_shift", spy)
+    monkeypatch.setattr(asg, "_sparse_optimum", spy)
     return ran
 
 
-@pytest.mark.parametrize("side", [1.0, 2.5])
+@pytest.fixture
+def dense_solves(monkeypatch):
+    """Count the cost matrices built: each is one dense solve."""
+    built = []
+    build = asg.cost_matrix
+
+    def spy(x, y):
+        built.append(x.n)
+        return build(x, y)
+
+    monkeypatch.setattr(asg, "cost_matrix", spy)
+    return built
+
+
+@pytest.mark.parametrize("side", [1.0, 0.7, 2.5])
 @pytest.mark.parametrize("dim", [3, 4, 6])
 def test_candidate_shift_equals_the_plain_solve(shifts, dim, side):
     for n in _WARM_N:
@@ -251,10 +268,12 @@ def test_candidate_shift_equals_the_plain_solve(shifts, dim, side):
         assert shifts[-1] == (n > asg.CANDIDATE_K), (dim, side, n)
 
 
-def test_candidate_shift_equals_the_plain_solve_at_n_2048():
-    # unforced: the warm-start test above reaches the shift's smallest N, 1024, in d >= 3
+def test_candidate_shift_equals_the_plain_solve_at_n_2048(dense_solves):
+    # unforced: the warm-start test above reaches the route's smallest N, 1024, in d >= 3
     x, y = _pair(2048, 3, 17)
-    assert asg.optimal_cost(x, y) == _plain_optimum(x, y)
+    cost = asg.optimal_cost(x, y)
+    assert dense_solves == []
+    assert cost == _plain_optimum(x, y)
 
 
 def test_candidate_shift_on_identical_clouds_costs_zero(shifts):
@@ -276,23 +295,50 @@ def test_candidate_shift_on_lattices(shifts, steps):
             assert asg.optimal_cost(x, y) == plain, seed
         else:
             assert asg.optimal_cost(x, y) == pytest.approx(plain, rel=n * np.finfo(float).eps, abs=0.0), seed
-    assert len(shifts) == 10
+    assert shifts == [True] * 10
 
 
-def test_candidate_shift_skips_candidates_without_a_perfect_matching(shifts, monkeypatch):
-    # one candidate per row: the rows' cheapest columns collide
+def test_candidate_shift_skips_candidates_without_a_perfect_matching(shifts, dense_solves, monkeypatch):
+    # one candidate per row: the rows' cheapest columns collide, so LAPJVsp finds no full matching
     monkeypatch.setattr(asg, "CANDIDATE_K", 1)
+    raised = []
+    solve = csgraph.min_weight_full_bipartite_matching
+
+    def spy(graph):
+        try:
+            return solve(graph)
+        except ValueError:
+            raised.append(True)
+            raise
+
+    monkeypatch.setattr(csgraph, "min_weight_full_bipartite_matching", spy)
     x, y = _pair(200, 3, 21)
     assert asg.optimal_cost(x, y) == _plain_optimum(x, y)
-    assert shifts == [False]
+    assert (shifts, raised, dense_solves) == ([False], [True], [200, 200])
 
 
-def test_candidate_shift_skips_potentials_that_do_not_settle(shifts, monkeypatch):
+def test_candidate_shift_skips_potentials_that_do_not_settle(shifts, dense_solves, monkeypatch):
     monkeypatch.setattr(asg, "CANDIDATE_ROUNDS", 1)
     for dim in (3, 4):
         x, y = _pair(200, dim, 22)
         assert asg.optimal_cost(x, y) == _plain_optimum(x, y)
-    assert shifts == [False, False]
+    assert (shifts, dense_solves) == ([False, False], [200] * 4)
+
+
+def test_candidate_shift_skips_after_its_round_cap(shifts, dense_solves, monkeypatch):
+    # this instance adds violating edges once and solves twice
+    x, y = _pair(200, 4, 23)
+    assert asg.optimal_cost(x, y) == _plain_optimum(x, y)
+    monkeypatch.setattr(asg, "CHECK_ROUNDS", 1)
+    assert asg.optimal_cost(x, y) == _plain_optimum(x, y)
+    assert (shifts, dense_solves) == ([True, False], [200, 200, 200])
+
+
+def test_candidate_shift_skips_a_gap_it_cannot_certify(shifts, dense_solves, monkeypatch):
+    monkeypatch.setattr(asg, "CERTIFIED_GAP", 0.0)
+    x, y = _pair(200, 3, 21)
+    assert asg.optimal_cost(x, y) == _plain_optimum(x, y)
+    assert (shifts, dense_solves) == ([False], [200, 200])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 10])
@@ -307,7 +353,7 @@ def test_candidate_shift_skips_clouds_no_larger_than_k(shifts, n):
 def test_candidate_shift_passes_non_finite_entries_on_to_the_solver_check(shifts, bad):
     # a finite coordinate whose square overflows: the cloud accepts it, its cost
     # entries are +inf, and d = 12 at this N has a zero Poisson dual, so nothing
-    # before the shift rejects the point
+    # before the sparse route rejects the point
     x, y = _pair(asg.CANDIDATE_MIN_N, 12, 27)
     pts = x.points.copy()
     pts[0, 0] = bad
@@ -317,18 +363,30 @@ def test_candidate_shift_passes_non_finite_entries_on_to_the_solver_check(shifts
 
 
 def test_candidate_shift_leaves_the_matrix_alone_when_it_skips(monkeypatch):
+    # the dense route the sparse route hands over to solves the matrix reduced by f, g and h only
+    monkeypatch.setattr(asg, "CANDIDATE_MIN_N", 1)
     monkeypatch.setattr(asg, "CANDIDATE_K", 1)
-    e = asg.cost_matrix(*_pair(64, 3, 24)).entries
-    before = e.copy()
-    assert not asg._candidate_shift(e)
-    assert np.array_equal(e, before)
+    x, y = _pair(64, 3, 24)
+    e = asg.cost_matrix(x, y).entries - asg.poisson_dual(x, y)[:, None]
+    e -= e.min(axis=0)
+    e -= e.min(axis=1)[:, None]
+    solved = []
+    solve = asg.match_solver
+
+    def spy(c):
+        solved.append(c.entries.copy())
+        return solve(c)
+
+    monkeypatch.setattr(asg, "match_solver", spy)
+    asg.optimal_cost(x, y)
+    assert len(solved) == 1 and np.array_equal(solved[0], e)
 
 
 def test_candidate_shift_runs_only_in_d3_and_up_from_its_size(monkeypatch):
-    def refuse(e):
-        raise AssertionError("candidate shift entered")
+    def refuse(x, y, f):
+        raise AssertionError("sparse route entered")
 
-    monkeypatch.setattr(asg, "_candidate_shift", refuse)
+    monkeypatch.setattr(asg, "_sparse_optimum", refuse)
     for n, dim in [(asg.CANDIDATE_MIN_N, 2), (asg.CANDIDATE_MIN_N - 1, 3), (asg.CANDIDATE_MIN_N, 1), (300, 6)]:
         x, y = _pair(n, dim, 25)
         asg.optimal_cost(x, y)
@@ -347,6 +405,27 @@ def test_candidate_shift_leaves_the_dual_terms_and_bound_alone(monkeypatch, dim)
         off = asg._solve_with_dual(x, y), asg.optimal_with_dual(x, y)
         assert on[0][0] == off[0][0] and on[1] == off[1]
         assert all(np.array_equal(a, b) for a, b in zip(on[0][1], off[0][1], strict=True))
+
+
+@pytest.mark.parametrize("n", [1024, 2048, 4096])
+@pytest.mark.parametrize("dim", [3, 4])
+def test_sparse_optimum_is_certified_and_reads_the_dense_reduction(dim, n):
+    x, y = _pair(n, dim, 60 + dim)
+    f = asg.poisson_dual(x, y)
+    cost, g, h, gap = asg._sparse_optimum(x, y, f)
+    c = asg.cost_matrix(x, y)
+    e = c.entries
+    e -= f[:, None]
+    assert np.array_equal(g, e.min(axis=0))
+    e -= g
+    assert np.array_equal(h, e.min(axis=1))
+    e -= h[:, None]
+    dense = asg.pair_cost(x, y, asg.match_solver(c).perm)
+    assert 0.0 <= gap <= asg.CERTIFIED_GAP * cost
+    assert cost - gap <= dense <= cost
+    opt, lower = asg.optimal_with_dual(x, y)
+    assert opt == cost
+    assert 0.0 <= lower <= opt
 
 
 def test_cli_does_not_load_the_sparse_matching():
@@ -435,8 +514,12 @@ def test_staircase_dual_rejects_d2():
 
 _OPTIMUM_RSS_PROBE = """
 from pointmatch import assignment as asg, geometry as geo
-x, y = (geo.sample_uniform(4096, 1.0, 3, geo.substream_seed(7, i)) for i in (0, 1))
-asg.optimal_cost(*(geo.sample_uniform(64, 1.0, 3, i) for i in (0, 1)))
+x, y = (geo.sample_uniform(4096, 1.0, DIM, geo.substream_seed(7, i)) for i in (0, 1))
+asg.optimal_cost(*(geo.sample_uniform(64, 1.0, DIM, i) for i in (0, 1)))
+if DIM >= 3:
+    def refuse(x, y):
+        raise AssertionError("cost matrix built")
+    asg.cost_matrix = refuse
 before = peak_kib()
 asg.optimal_cost(x, y)
 print(peak_kib() - before)
@@ -444,8 +527,13 @@ print(peak_kib() - before)
 
 
 def test_optimal_cost_peak_memory_is_one_cost_matrix(peak_growth_mb):
-    # d = 3, N = 4096: a second N x N array (the potential subtracted out of place) would double the growth
-    assert peak_growth_mb(_OPTIMUM_RSS_PROBE) * 2**20 < 1.2 * 8 * 4096**2
+    # d = 2, N = 4096: a second N x N array (the potential subtracted out of place) would double the growth
+    assert peak_growth_mb(_OPTIMUM_RSS_PROBE.replace("DIM", "2")) * 2**20 < 1.2 * 8 * 4096**2
+
+
+def test_sparse_optimum_peak_memory_holds_no_cost_matrix(peak_growth_mb):
+    # d = 3, N = 4096: one 8N^2-byte matrix is 128 MiB; the sparse route holds a few N x CANDIDATE_K arrays
+    assert peak_growth_mb(_OPTIMUM_RSS_PROBE.replace("DIM", "3")) < 32
 
 
 # --- LP --------------------------------------------------------------------

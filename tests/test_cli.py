@@ -53,15 +53,16 @@ def test_match_methods_agree(capsys):
 @pytest.mark.parametrize("dim, n", [(2, 64), (2, 500), (3, 200), (3, 1024)])
 def test_match_solver_prints_the_warm_started_optimum(capsys, monkeypatch, dim, n):
     # the product route: the warm start's cost bit for bit, equal to the plain solve's;
-    # at d = 3, N = 1024 the candidate shift runs too
+    # at d = 3, N = 1024 the sparse route finds it without the matrix
     shifts = []
-    shift = asg._candidate_shift
+    sparse_optimum = asg._sparse_optimum
 
-    def spy(e):
-        shifts.append(shift(e))
-        return shifts[-1]
+    def spy(x, y, f):
+        found = sparse_optimum(x, y, f)
+        shifts.append(found is not None)
+        return found
 
-    monkeypatch.setattr(asg, "_candidate_shift", spy)
+    monkeypatch.setattr(asg, "_sparse_optimum", spy)
     code, out, err = run_cli(capsys, "match", "--n", str(n), "--dim", str(dim), "--seed", "1")
     assert code == 0, err
     x, y = xp.sample_pair(n, dim, 1.0, 1)
