@@ -14,9 +14,7 @@ permutation unchanged, so the cost matrix is reduced in place by that
 potential and then by its column and row minima. The solver's optimal edges
 then sit near 0 and it finishes several times sooner. The three subtracted
 vectors are a Kantorovich dual pair, so the sum of their means, less a proven
-rounding allowance, is a certified lower bound on the optimum. The potential
-lives here rather than in `dual_potential`, which imports this module through
-`dyadic_transport`.
+rounding allowance, is a certified lower bound on the optimum.
 
 In d >= 3, from N = CANDIDATE_MIN_N, no N x N matrix is built. Above the
 critical dimension d = 2 a point's optimal partner is among its few cheapest
@@ -42,7 +40,7 @@ from scipy.optimize import linear_sum_assignment, linprog
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
-from .geometry import PointCloud
+from .geometry import PointCloud, check_pair
 
 BRUTE_FORCE_LIMIT = 10
 LP_SIZE_LIMIT = 64
@@ -65,36 +63,20 @@ class CostMatrix:
     read-only input, which would hold the N x N matrix twice during the solve.
     """
 
-    n: int
     entries: np.ndarray  # (N, N), entry (n, m) = |Y_m - X_n|^2
 
     def __post_init__(self):
         object.__setattr__(self, "entries", np.asarray(self.entries, dtype=np.float64))
 
-
-@dataclass(frozen=True)
-class TransportPlan:
-    """Either a permutation matching or a (possibly estimated) bistochastic coupling."""
-
-    cost: float
-    perm: np.ndarray | None = None
-    weights: np.ndarray | None = None
-
-
-def _check_pair(x: PointCloud, y: PointCloud) -> None:
-    """Reject two clouds that are empty or differ in size, dim or side."""
-    if x.n != y.n:
-        raise ValueError(f"cloud sizes differ: {x.n} vs {y.n}")
-    if x.n < 1:
-        raise ValueError("clouds must be nonempty")
-    if x.dim != y.dim or x.side != y.side:
-        raise ValueError("clouds must share dim and side")
+    @property
+    def n(self) -> int:
+        return self.entries.shape[0]
 
 
 def cost_matrix(x: PointCloud, y: PointCloud) -> CostMatrix:
     """Squared-Euclidean cost kernel, entry (n, m) = |Y_m - X_n|^2."""
-    _check_pair(x, y)
-    return CostMatrix(n=x.n, entries=cdist(x.points, y.points, "sqeuclidean"))
+    check_pair(x, y)
+    return CostMatrix(cdist(x.points, y.points, "sqeuclidean"))
 
 
 def perm_cost(c: CostMatrix, perm: np.ndarray) -> float:
@@ -119,40 +101,35 @@ def coupling_cost(c: CostMatrix, weights: np.ndarray) -> float:
     return float((c.entries * weights).sum() / c.n)
 
 
-def match_bruteforce(c: CostMatrix) -> TransportPlan:
+def match_bruteforce(c: CostMatrix) -> float:
     """Exact optimum by enumerating all permutations; guarded to N <= 10."""
     n = c.n
     if n > BRUTE_FORCE_LIMIT:
         raise ValueError(f"brute force enumeration is limited to N <= {BRUTE_FORCE_LIMIT}, got N = {n}")
     rows = c.entries
     best = math.inf
-    best_perm = None
     used = [False] * n
-    cur = [0] * n
 
     def descend(i, acc):
-        nonlocal best, best_perm
+        nonlocal best
         if acc >= best:
             return
         if i == n:
             best = acc
-            best_perm = cur.copy()
             return
         row = rows[i]
         for j in range(n):
             if not used[j]:
                 used[j] = True
-                cur[i] = j
                 descend(i + 1, acc + row[j])
                 used[j] = False
 
     descend(0, 0.0)
-    perm = np.array(best_perm, dtype=np.intp)
-    return TransportPlan(cost=best / n, perm=perm)
+    return best / n
 
 
-def match_solver(c: CostMatrix) -> TransportPlan:
-    """Exact optimum via a dense shortest-augmenting-path assignment solver.
+def match_solver(c: CostMatrix) -> np.ndarray:
+    """The optimal permutation, row n to column perm[n], by a dense shortest-augmenting-path solver.
 
     The entries go to the solver as they are, without a copy. The solver
     accepts +inf where a permutation avoids it, so non-finite entries are
@@ -164,7 +141,7 @@ def match_solver(c: CostMatrix) -> TransportPlan:
     rows, cols = linear_sum_assignment(c.entries)
     perm = np.empty(c.n, dtype=np.intp)
     perm[rows] = cols
-    return TransportPlan(cost=perm_cost(c, perm), perm=perm)
+    return perm
 
 
 def poisson_dual(x: PointCloud, y: PointCloud) -> np.ndarray:
@@ -178,7 +155,7 @@ def poisson_dual(x: PointCloud, y: PointCloud) -> np.ndarray:
     cell. Returns zeros when the grid would have more cells than the N x N
     cost matrix has entries (M^d > N^2).
     """
-    _check_pair(x, y)
+    check_pair(x, y)
     n, dim, side = x.n, x.dim, x.side
     m = 1 << math.ceil(math.log2(2.0 * n ** (1.0 / dim)))
     size = m**dim
@@ -210,7 +187,7 @@ def staircase_dual(x: PointCloud, y: PointCloud) -> tuple[float, np.ndarray, np.
     so the steps telescope to u_i + v_j <= C_ij for every pair, and
     sum u + sum v = sum C_ii is the optimum. No cost matrix is built.
     """
-    _check_pair(x, y)
+    check_pair(x, y)
     if x.dim != 1:
         raise ValueError("the staircase dual applies to d = 1 only")
     ix = np.argsort(x.points[:, 0], kind="stable")
@@ -321,7 +298,7 @@ def _solve_with_dual(x: PointCloud, y: PointCloud) -> tuple[float, list]:
     e -= g
     h = e.min(axis=1)
     e -= h[:, None]
-    return pair_cost(x, y, match_solver(c).perm), [f, g, h]
+    return pair_cost(x, y, match_solver(c)), [f, g, h]
 
 
 def _lifted_tree(points: np.ndarray, pot: np.ndarray) -> tuple[cKDTree, float]:
@@ -503,8 +480,8 @@ def optimal_cost(x: PointCloud, y: PointCloud) -> float:
     return _solve_with_dual(x, y)[0]
 
 
-def match_lp(c: CostMatrix) -> TransportPlan:
-    """Kantorovich relaxation over bistochastic matrices, solved exactly.
+def match_lp(c: CostMatrix) -> tuple[float, np.ndarray]:
+    """Kantorovich relaxation over bistochastic matrices, solved exactly: (cost, weights).
 
     min sum c_nm w_nm subject to unit row and column sums and w >= 0, handed
     to the HiGHS LP solver as a sparse 2N x N^2 equality system. HiGHS shares
@@ -522,4 +499,4 @@ def match_lp(c: CostMatrix) -> TransportPlan:
     if res.status != 0:
         raise RuntimeError(f"HiGHS did not solve the transport LP: {res.message}")
     weights = res.x.reshape(n, n)
-    return TransportPlan(cost=coupling_cost(c, weights), weights=weights)
+    return coupling_cost(c, weights), weights

@@ -99,9 +99,9 @@ def _env_seed() -> int:
 # match's methods, each a cost of two clouds: the product route (warm-started,
 # no matrix in d = 1) and the two independent oracles on the cost matrix
 _MATCH_SOLVERS = {
-    "brute": lambda x, y: asg.match_bruteforce(asg.cost_matrix(x, y)).cost,
+    "brute": lambda x, y: asg.match_bruteforce(asg.cost_matrix(x, y)),
     "solver": asg.optimal_cost,
-    "lp": lambda x, y: asg.match_lp(asg.cost_matrix(x, y)).cost,
+    "lp": lambda x, y: asg.match_lp(asg.cost_matrix(x, y))[0],
 }
 
 # Each subcommand's options, name -> default. The name gives the flag

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assignment import _check_pair
 from .dyadic_transport import (
     EVAL_SLICE_POINTS,
     DyadicTree,
@@ -31,7 +30,7 @@ from .dyadic_transport import (
     level_scale,
     split_coordinate,
 )
-from .geometry import PointCloud
+from .geometry import PointCloud, check_pair
 
 ZETA_SCALE = 140.0  # normalizes int_0^1 x^3 (1-x)^3 dx = 1/140
 # sup |grad Phi|^2 is estimated as the grid maximum times INFLATION**2. This is a
@@ -132,7 +131,7 @@ def _level_stack(p: DualPotential, xs: np.ndarray):
     tree = p.tree
     d, side, levels = tree.dim, tree.side, p.level
     x = np.ascontiguousarray(xs.T)
-    path, lo = box_index_of_points(x.T, side, d, levels)  # x.T is xs again, read without a copy
+    path, lo = box_index_of_points(x.T, side, levels)  # x.T is xs again, read without a copy
 
     parent = np.arange(levels)  # the level of each row's parent boxes
     split = parent % d
@@ -303,25 +302,20 @@ def grad_sq_on_grid(p: DualPotential, spacing_divisor: int = 8):
 class GainReport:
     gain: float  # mean Phi over the x-cloud minus the spatial mean of Phi, which is exactly zero
     sup_grad_sq: float  # grid maximum of |grad Phi|^2 times INFLATION**2
-    grid_grad_sq: np.ndarray  # |grad Phi|^2 on the grid behind sup_grad_sq
     gap: float  # mean Phi over the x-cloud minus over the y-cloud
     lower_bound: float  # gap^2 / sup_grad_sq, or 0 for a nonpositive gap
 
 
-def lower_bound_functional(
-    cloud_x: PointCloud,
-    cloud_y: PointCloud,
-    p: DualPotential,
-    spacing_divisor: int = 8,
-) -> GainReport:
-    """Empirical dual gain, gap and lower bound of a potential built from cloud_x's own tree.
+def lower_bound_functional(p: DualPotential, cloud_y: PointCloud, spacing_divisor: int = 8) -> GainReport:
+    """Empirical dual gain, gap and lower bound of a potential against cloud_y.
 
-    Every block zeta(u) - zeta(u - 1) integrates to zero, so the gain is the
-    mean of Phi over cloud_x. Phi is evaluated on both clouds in one batch;
-    the lower bound is the one `dual_lower_bound` returns.
+    The potential's own cloud, p.tree.cloud, is the x-cloud. Every block
+    zeta(u) - zeta(u - 1) integrates to zero, so the gain is the mean of Phi
+    over the x-cloud. Phi is evaluated on both clouds in one batch; the lower
+    bound is the one `dual_lower_bound` returns.
     """
-    _check_same_cloud(cloud_x, p)
-    _check_pair(cloud_x, cloud_y)
+    cloud_x = p.tree.cloud
+    check_pair(cloud_x, cloud_y)
     values = potential_values(p, np.concatenate([cloud_x.points, cloud_y.points]))
     mean_x, mean_y = float(values[: cloud_x.n].mean()), float(values[cloud_x.n :].mean())
     _, grid = grad_sq_on_grid(p, spacing_divisor)
@@ -330,29 +324,18 @@ def lower_bound_functional(
     # a nonpositive gap certifies nothing; sup_sq is 0 only for the
     # all-balanced potential, whose gap is 0 too
     bound = gap**2 / sup_sq if gap > 0.0 and sup_sq > 0.0 else 0.0
-    return GainReport(gain=mean_x, sup_grad_sq=sup_sq, grid_grad_sq=grid, gap=gap, lower_bound=bound)
+    return GainReport(gain=mean_x, sup_grad_sq=sup_sq, gap=gap, lower_bound=bound)
 
 
-def dual_lower_bound(
-    cloud_x: PointCloud,
-    cloud_y: PointCloud,
-    p: DualPotential,
-    spacing_divisor: int = 8,
-) -> float:
-    """Dual lower bound on the matching cost between the clouds.
+def dual_lower_bound(p: DualPotential, cloud_y: PointCloud, spacing_divisor: int = 8) -> float:
+    """Dual lower bound on the matching cost between the potential's own cloud and cloud_y.
 
-    The potential must be built from cloud_x alone. The empirical mean gap per
-    point, divided by the gradient supremum, lower-bounds the mean L^1
+    The potential is built from the x-cloud's tree alone. The empirical mean
+    gap per point, divided by the gradient supremum, lower-bounds the mean L^1
     matching distance; squaring gives a bound on the quadratic cost by
     Cauchy-Schwarz. The supremum is the inflated grid maximum (see
     `INFLATION`), so the bound holds only as far as that estimate does. A
     nonpositive gap certifies nothing and returns 0. A library diagnostic:
     the CLI's certified bound is `assignment.optimal_with_dual`'s.
     """
-    return lower_bound_functional(cloud_x, cloud_y, p, spacing_divisor).lower_bound
-
-
-def _check_same_cloud(cloud: PointCloud, p: DualPotential) -> None:
-    tc = p.tree.cloud
-    if tc.n != cloud.n or tc.dim != cloud.dim or not np.array_equal(tc.points, cloud.points):
-        raise ValueError("potential must be built from the given cloud's own tree")
+    return lower_bound_functional(p, cloud_y, spacing_divisor).lower_bound

@@ -17,8 +17,7 @@ from itertools import chain
 
 import numpy as np
 
-from .assignment import TransportPlan, _check_pair
-from .geometry import PointCloud
+from .geometry import PointCloud, check_pair
 
 MIN_COST_PROBES = 1000
 COUPLING_CHUNK_PAIRS = 1 << 18  # candidate point pairs per chunk in the exact coupling
@@ -109,17 +108,19 @@ class DyadicTree:
         return _levels(self, lambda level: self.rho_left(level) / 2.0)
 
 
-def box_index_of_points(points: np.ndarray, side: float, dim: int, level: int):
+def box_index_of_points(points: np.ndarray, side: float, level: int):
     """Level-`level` box of each point by the dyadic halving walk, with its corners.
 
-    Round r halves every coordinate once (levels r d + 1 .. r d + d, one
-    scale), comparing each point with its running lower corner plus the half
-    side: an interior face belongs to the upper box, the outer face x_i = L to
-    the last. Returns (box, lo): the level-`level` box index, its bits the
-    walk's choices in level order, and lo (rounds + 1, d, N) the lower corners
-    before every round.
+    Each row of `points` is one point of d coordinates. Round r halves every
+    coordinate once (levels r d + 1 .. r d + d, one scale), comparing each
+    point with its running lower corner plus the half side: an interior face
+    belongs to the upper box, the outer face x_i = L to the last. Returns
+    (box, lo): the level-`level` box index, its bits the walk's choices in
+    level order, and lo (rounds + 1, d, N) the lower corners before every
+    round.
     """
     x = np.ascontiguousarray(np.atleast_2d(np.asarray(points, dtype=np.float64)).T)
+    dim = x.shape[0]
     rounds = -(-level // dim)
     lo = np.zeros((rounds + 1,) + x.shape)
     right = np.empty((rounds,) + x.shape, dtype=bool)
@@ -142,7 +143,7 @@ def build_tree(cloud: PointCloud) -> DyadicTree:
         raise ValueError("build_tree requires a nonempty cloud")
     k_star = stopping_level(cloud.n, cloud.dim)
     slices = (cloud.points[lo : lo + EVAL_SLICE_POINTS] for lo in range(0, cloud.n, EVAL_SLICE_POINTS))
-    box = np.concatenate([box_index_of_points(pts, cloud.side, cloud.dim, k_star)[0] for pts in slices])
+    box = np.concatenate([box_index_of_points(pts, cloud.side, k_star)[0] for pts in slices])
     counts = [None] * (k_star + 1)
     counts[k_star] = np.bincount(box, minlength=2**k_star).astype(np.int64)
     for k in range(k_star - 1, -1, -1):
@@ -238,7 +239,7 @@ class HierarchicalMap:
     def point_preimages(self) -> tuple:
         """(lower, upper corners) of T^(-1)(X_n) by point id, each of volume
         L^d/N; computed once per map, read-only."""
-        return _read_only(*_point_preimages(self, *self.tree.preimages[-1]))
+        return _read_only(*_point_preimages(self))
 
 
 def build_map(cloud: PointCloud) -> HierarchicalMap:
@@ -310,17 +311,15 @@ def couple_two_clouds(
     s: HierarchicalMap,
     probes: int = 100_000,
     seed: int = 0,
-    collect_matrix: bool = False,
-) -> tuple[TransportPlan, float]:
-    """Couple the clouds behind two maps by pushing common probes through both.
+) -> tuple[float, float]:
+    """Monte Carlo estimate of the cost of coupling the clouds behind two maps, with its standard error.
 
-    A probe x contributes the pair (T(x), S(x)); the fraction of probes hitting
-    (X_n, Y_m) estimates the coupling weight, and the mean of |Y_m - X_n|^2 over
-    probes estimates the coupling cost directly (1/N normalization built in).
-    Returns the plan and the standard error of its cost.
+    A probe x contributes the pair (T(x), S(x)), so the mean of |Y_m - X_n|^2
+    over probes estimates the coupling cost directly (1/N normalization built
+    in).
     """
     tx, ty = t.tree.cloud, s.tree.cloud
-    _check_pair(tx, ty)
+    check_pair(tx, ty)
     if probes < MIN_COST_PROBES:
         raise ValueError(f"probes must be >= {MIN_COST_PROBES}")
     rng = np.random.default_rng(np.uint64(seed))
@@ -330,14 +329,7 @@ def couple_two_clouds(
     hit = (n_idx >= 0) & (m_idx >= 0)
     n_idx, m_idx = n_idx[hit], m_idx[hit]
     sq = ((ty.points[m_idx] - tx.points[n_idx]) ** 2).sum(axis=1)
-    cost = float(sq.mean())
-    stderr = float(sq.std(ddof=1) / np.sqrt(sq.size))
-    weights = None
-    if collect_matrix:
-        weights = np.zeros((tx.n, tx.n))
-        np.add.at(weights, (n_idx, m_idx), 1.0)
-        weights *= tx.n / sq.size
-    return TransportPlan(cost=cost, weights=weights), stderr
+    return float(sq.mean()), float(sq.std(ddof=1) / np.sqrt(sq.size))
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +368,7 @@ def _levels(tree: DyadicTree, frac) -> tuple:
     return tuple(_read_only(*corners) for corners in levels)
 
 
-def _point_preimages(h: HierarchicalMap, lo_box: np.ndarray, hi_box: np.ndarray):
+def _point_preimages(h: HierarchicalMap):
     """Cut each stopping-box preimage into equal slabs along coordinate 1, one per
     point in cell order; returns (lower, upper corners) indexed by point id."""
     tree = h.tree
@@ -384,6 +376,7 @@ def _point_preimages(h: HierarchicalMap, lo_box: np.ndarray, hi_box: np.ndarray)
     box = tree.point_box[order]
     n_box = tree.counts[tree.k_star][box]
     slab = np.arange(order.size) - h.box_offsets[box]
+    lo_box, hi_box = tree.preimages[-1]
     lo, hi = lo_box[box], hi_box[box]
     start, stop = slab / n_box, (slab + 1) / n_box
     lo[:, 0], hi[:, 0] = _cut(lo[:, 0], hi[:, 0], start), _cut(lo[:, 0], hi[:, 0], stop)
@@ -444,13 +437,12 @@ def _slab_pairs(na: np.ndarray, nb: np.ndarray, edges_t: np.ndarray, edges_s: np
 
 
 def _overlapping_boxes(t: HierarchicalMap, s: HierarchicalMap):
-    """Stopping-box pairs (a, b) whose preimages overlap, with every box's
-    preimage corners: (a, b, (lo_t, hi_t), (lo_s, hi_s)).
+    """Stopping-box pairs (a, b) whose preimages overlap.
 
     Both trees split the same coordinate at every level, so one joint descent
     keeps only the overlapping pairs, checking the split coordinate."""
     tx, ty = t.tree, s.tree
-    _check_pair(tx.cloud, ty.cloud)
+    check_pair(tx.cloud, ty.cloud)
     a = b = np.zeros(1, dtype=np.int64)
     for level in range(1, tx.k_star + 1):
         c = split_coordinate(level, tx.dim)
@@ -459,7 +451,7 @@ def _overlapping_boxes(t: HierarchicalMap, s: HierarchicalMap):
         b = (2 * b[:, None] + np.array([0, 1, 0, 1])).ravel()
         keep = np.minimum(hi_t[a, c], hi_s[b, c]) > np.maximum(lo_t[a, c], lo_s[b, c])
         a, b = a[keep], b[keep]
-    return a, b, tx.preimages[-1], ty.preimages[-1]
+    return a, b
 
 
 def _coupling_chunks(t: HierarchicalMap, s: HierarchicalMap):
@@ -471,7 +463,8 @@ def _coupling_chunks(t: HierarchicalMap, s: HierarchicalMap):
     candidate falls in its window, so no box pair is split.
     """
     tx, ty = t.tree, s.tree
-    a, b, (lo_t, hi_t), (lo_s, hi_s) = _overlapping_boxes(t, s)
+    a, b = _overlapping_boxes(t, s)
+    (lo_t, hi_t), (lo_s, hi_s) = tx.preimages[-1], ty.preimages[-1]
     # Slabs differ from their box along coordinate 1 only: the box pair's
     # overlap gives the other sides. A kept box pair holds points on both
     # sides, since an empty box's preimage has no width along the coordinate

@@ -28,15 +28,28 @@ class PointCloud:
     points: np.ndarray  # shape (N, dim), float64
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=np.float64).reshape(-1, self.dim)
+        pts = np.asarray(self.points, dtype=np.float64)
+        if pts.ndim != 2 or pts.shape[1] != self.dim:
+            raise ValueError(f"points must have shape (N, {self.dim}), got {pts.shape}")
         if not np.isfinite(pts).all():
             raise ValueError("point coordinates must be finite")
+        pts = pts.view()  # the caller's own array stays writable
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
 
     @property
     def n(self) -> int:
         return self.points.shape[0]
+
+
+def check_pair(x: PointCloud, y: PointCloud) -> None:
+    """Reject two clouds that are empty or differ in size, dim or side."""
+    if x.n != y.n:
+        raise ValueError(f"cloud sizes differ: {x.n} vs {y.n}")
+    if x.n < 1:
+        raise ValueError("clouds must be nonempty")
+    if x.dim != y.dim or x.side != y.side:
+        raise ValueError("clouds must share dim and side")
 
 
 def sample_uniform(n: int, side: float, dim: int, seed: int) -> PointCloud:

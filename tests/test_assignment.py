@@ -28,6 +28,10 @@ def _cloud_from(points, side=1.0):
     return geo.PointCloud(dim=pts.shape[1], side=side, points=pts)
 
 
+def _solver_cost(c):
+    return asg.perm_cost(c, asg.match_solver(c))
+
+
 # --- cost matrix -----------------------------------------------------------
 
 
@@ -65,15 +69,14 @@ def test_cost_matrix_size_mismatch():
 
 def test_bruteforce_identity_clouds():
     x = geo.sample_uniform(5, 1.0, 2, 8)
-    plan = asg.match_bruteforce(asg.cost_matrix(x, x))
-    assert plan.cost == pytest.approx(0.0, abs=1e-15)
+    assert asg.match_bruteforce(asg.cost_matrix(x, x)) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_bruteforce_single_point():
     x = _cloud_from([[0.1, 0.9]])
     y = _cloud_from([[0.4, 0.5]])
     c = asg.cost_matrix(x, y)
-    assert asg.match_bruteforce(c).cost == pytest.approx(c.entries[0, 0])
+    assert asg.match_bruteforce(c) == pytest.approx(c.entries[0, 0])
 
 
 def test_bruteforce_refuses_large_instance():
@@ -90,14 +93,14 @@ def test_solver_matches_bruteforce(seed):
     n = 1 + seed % 8
     x, y = _pair(n, 2, seed)
     c = asg.cost_matrix(x, y)
-    assert asg.match_solver(c).cost == pytest.approx(asg.match_bruteforce(c).cost, abs=1e-10)
+    assert _solver_cost(c) == pytest.approx(asg.match_bruteforce(c), abs=1e-10)
 
 
 def test_solver_rejects_nonfinite():
     # scipy itself accepts a +inf that a permutation avoids, so the check is the solver's own
     asg.linear_sum_assignment(np.array([[0.0, np.inf], [1.0, 0.0]]))
     for bad in (np.inf, -np.inf, np.nan):
-        c = asg.CostMatrix(2, np.array([[0.0, bad], [1.0, 0.0]]))
+        c = asg.CostMatrix(np.array([[0.0, bad], [1.0, 0.0]]))
         with pytest.raises(ValueError, match="non-finite"):
             asg.match_solver(c)
 
@@ -112,12 +115,13 @@ def test_solver_gets_the_entries_without_a_copy(monkeypatch):
         return linear_sum_assignment(cost)
 
     monkeypatch.setattr(asg, "linear_sum_assignment", spy)
-    plan = asg.match_solver(c)
+    perm = asg.match_solver(c)
     assert seen[0] is c.entries
     assert c.entries.flags.writeable
-    assert plan.cost == asg.perm_cost(c, plan.perm)
+    assert np.array_equal(np.sort(perm), np.arange(c.n))
     e = np.eye(3)
-    assert asg.CostMatrix(3, e).entries is e
+    m = asg.CostMatrix(e)
+    assert m.entries is e and m.n == 3
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -126,8 +130,8 @@ def test_optimal_cost_is_optimal_in_1d(seed):
     for n in range(1, asg.BRUTE_FORCE_LIMIT + 1):
         x, y = _pair(n, 1, 20 * seed + n, side=(1.0, 2.5)[n % 2])
         c = asg.cost_matrix(x, y)
-        assert asg.optimal_cost(x, y) == pytest.approx(asg.match_bruteforce(c).cost, rel=1e-12, abs=0.0), n
-        assert asg.optimal_cost(x, y) == pytest.approx(asg.match_solver(c).cost, rel=1e-12, abs=0.0), n
+        assert asg.optimal_cost(x, y) == pytest.approx(asg.match_bruteforce(c), rel=1e-12, abs=0.0), n
+        assert asg.optimal_cost(x, y) == pytest.approx(_solver_cost(c), rel=1e-12, abs=0.0), n
 
 
 def test_d1_closed_form_n10():
@@ -143,7 +147,7 @@ def test_d1_closed_form_n10():
 
 
 def _plain_optimum(x, y):
-    return asg.match_solver(asg.cost_matrix(x, y)).cost
+    return _solver_cost(asg.cost_matrix(x, y))
 
 
 def _lattice_pair(n, dim, steps, side, seed):
@@ -225,11 +229,12 @@ def test_poisson_dual_rejects_mismatched_clouds():
 
 
 # --- sparse route (d >= 3) -------------------------------------------------------
-# The test names keep "candidate_shift": the sparse route replaced the dense candidate shift.
+# The tests named test_candidate_shift_* test the sparse route: the prefix is that of the
+# dense warm start the route replaced, kept so that these test ids stay stable.
 
 
 @pytest.fixture
-def shifts(monkeypatch):
+def sparse_calls(monkeypatch):
     """Force the sparse route at every N and record whether each call returned an optimum."""
     monkeypatch.setattr(asg, "CANDIDATE_MIN_N", 1)
     ran = []
@@ -260,12 +265,12 @@ def dense_solves(monkeypatch):
 
 @pytest.mark.parametrize("side", [1.0, 0.7, 2.5])
 @pytest.mark.parametrize("dim", [3, 4, 6])
-def test_candidate_shift_equals_the_plain_solve(shifts, dim, side):
+def test_candidate_shift_equals_the_plain_solve(sparse_calls, dim, side):
     for n in _WARM_N:
         x = geo.sample_uniform(n, side, dim, geo.substream_seed(31, dim, n, 0))
         y = geo.sample_uniform(n, side, dim, geo.substream_seed(31, dim, n, 1))
         assert asg.optimal_cost(x, y) == _plain_optimum(x, y), (dim, side, n)
-        assert shifts[-1] == (n > asg.CANDIDATE_K), (dim, side, n)
+        assert sparse_calls[-1] == (n > asg.CANDIDATE_K), (dim, side, n)
 
 
 def test_candidate_shift_equals_the_plain_solve_at_n_2048(dense_solves):
@@ -276,15 +281,15 @@ def test_candidate_shift_equals_the_plain_solve_at_n_2048(dense_solves):
     assert cost == _plain_optimum(x, y)
 
 
-def test_candidate_shift_on_identical_clouds_costs_zero(shifts):
+def test_candidate_shift_on_identical_clouds_costs_zero(sparse_calls):
     for dim in (3, 4):
         x = geo.sample_uniform(300, 2.5, dim, 12 + dim)
         assert asg.optimal_with_dual(x, x) == (0.0, 0.0)
-    assert shifts == [True, True]
+    assert sparse_calls == [True, True]
 
 
 @pytest.mark.parametrize("steps", [4, 8, 3, 7])
-def test_candidate_shift_on_lattices(shifts, steps):
+def test_candidate_shift_on_lattices(sparse_calls, steps):
     # dyadic steps make every entry exact, so tied permutations cost the same; other steps may differ in a last bit.
     # Handed float weights, the sparse solver looped forever on some of these clouds.
     for seed in range(10):
@@ -295,10 +300,10 @@ def test_candidate_shift_on_lattices(shifts, steps):
             assert asg.optimal_cost(x, y) == plain, seed
         else:
             assert asg.optimal_cost(x, y) == pytest.approx(plain, rel=n * np.finfo(float).eps, abs=0.0), seed
-    assert shifts == [True] * 10
+    assert sparse_calls == [True] * 10
 
 
-def test_candidate_shift_skips_candidates_without_a_perfect_matching(shifts, dense_solves, monkeypatch):
+def test_candidate_shift_skips_candidates_without_a_perfect_matching(sparse_calls, dense_solves, monkeypatch):
     # one candidate per row: the rows' cheapest columns collide, so LAPJVsp finds no full matching
     monkeypatch.setattr(asg, "CANDIDATE_K", 1)
     raised = []
@@ -314,43 +319,43 @@ def test_candidate_shift_skips_candidates_without_a_perfect_matching(shifts, den
     monkeypatch.setattr(csgraph, "min_weight_full_bipartite_matching", spy)
     x, y = _pair(200, 3, 21)
     assert asg.optimal_cost(x, y) == _plain_optimum(x, y)
-    assert (shifts, raised, dense_solves) == ([False], [True], [200, 200])
+    assert (sparse_calls, raised, dense_solves) == ([False], [True], [200, 200])
 
 
-def test_candidate_shift_skips_potentials_that_do_not_settle(shifts, dense_solves, monkeypatch):
+def test_candidate_shift_skips_potentials_that_do_not_settle(sparse_calls, dense_solves, monkeypatch):
     monkeypatch.setattr(asg, "CANDIDATE_ROUNDS", 1)
     for dim in (3, 4):
         x, y = _pair(200, dim, 22)
         assert asg.optimal_cost(x, y) == _plain_optimum(x, y)
-    assert (shifts, dense_solves) == ([False, False], [200] * 4)
+    assert (sparse_calls, dense_solves) == ([False, False], [200] * 4)
 
 
-def test_candidate_shift_skips_after_its_round_cap(shifts, dense_solves, monkeypatch):
+def test_candidate_shift_skips_after_its_round_cap(sparse_calls, dense_solves, monkeypatch):
     # this instance adds violating edges once and solves twice
     x, y = _pair(200, 4, 23)
     assert asg.optimal_cost(x, y) == _plain_optimum(x, y)
     monkeypatch.setattr(asg, "CHECK_ROUNDS", 1)
     assert asg.optimal_cost(x, y) == _plain_optimum(x, y)
-    assert (shifts, dense_solves) == ([True, False], [200, 200, 200])
+    assert (sparse_calls, dense_solves) == ([True, False], [200, 200, 200])
 
 
-def test_candidate_shift_skips_a_gap_it_cannot_certify(shifts, dense_solves, monkeypatch):
+def test_candidate_shift_skips_a_gap_it_cannot_certify(sparse_calls, dense_solves, monkeypatch):
     monkeypatch.setattr(asg, "CERTIFIED_GAP", 0.0)
     x, y = _pair(200, 3, 21)
     assert asg.optimal_cost(x, y) == _plain_optimum(x, y)
-    assert (shifts, dense_solves) == ([False], [200, 200])
+    assert (sparse_calls, dense_solves) == ([False], [200, 200])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 10])
-def test_candidate_shift_skips_clouds_no_larger_than_k(shifts, n):
+def test_candidate_shift_skips_clouds_no_larger_than_k(sparse_calls, n):
     x, y = _pair(n, 3, 23)
     assert asg.optimal_cost(x, y) == _plain_optimum(x, y)
-    assert shifts == [False]
+    assert sparse_calls == [False]
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("bad", [1e200, -1e200])
-def test_candidate_shift_passes_non_finite_entries_on_to_the_solver_check(shifts, bad):
+def test_candidate_shift_passes_non_finite_entries_on_to_the_solver_check(sparse_calls, bad):
     # a finite coordinate whose square overflows: the cloud accepts it, its cost
     # entries are +inf, and d = 12 at this N has a zero Poisson dual, so nothing
     # before the sparse route rejects the point
@@ -359,7 +364,7 @@ def test_candidate_shift_passes_non_finite_entries_on_to_the_solver_check(shifts
     pts[0, 0] = bad
     with pytest.raises(ValueError, match="non-finite"):
         asg.optimal_cost(_cloud_from(pts), y)
-    assert shifts == [False]
+    assert sparse_calls == [False]
 
 
 def test_candidate_shift_leaves_the_matrix_alone_when_it_skips(monkeypatch):
@@ -420,7 +425,7 @@ def test_sparse_optimum_is_certified_and_reads_the_dense_reduction(dim, n):
     e -= g
     assert np.array_equal(h, e.min(axis=1))
     e -= h[:, None]
-    dense = asg.pair_cost(x, y, asg.match_solver(c).perm)
+    dense = asg.pair_cost(x, y, asg.match_solver(c))
     assert 0.0 <= gap <= asg.CERTIFIED_GAP * cost
     assert cost - gap <= dense <= cost
     opt, lower = asg.optimal_with_dual(x, y)
@@ -429,7 +434,7 @@ def test_sparse_optimum_is_certified_and_reads_the_dense_reduction(dim, n):
 
 
 def test_cli_does_not_load_the_sparse_matching():
-    # scipy.sparse.csgraph is imported where the candidate shift runs, not at start-up
+    # scipy.sparse.csgraph is imported where the sparse route runs, not at start-up
     src = str(Path(asg.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     probe = "import sys, pointmatch.cli; print('scipy.sparse.csgraph' in sys.modules)"
@@ -502,7 +507,7 @@ def test_staircase_dual_is_feasible_and_tight_entry_by_entry(side):
             perm = np.empty(n, dtype=np.intp)  # the monotone matching: sorted x-points to sorted y-points
             perm[np.argsort(x.points[:, 0], kind="stable")] = np.argsort(y.points[:, 0], kind="stable")
             assert np.all(np.abs(u + v[perm] - c[np.arange(n), perm]) <= slack)
-            brute = asg.match_bruteforce(asg.cost_matrix(x, y)).cost
+            brute = asg.match_bruteforce(asg.cost_matrix(x, y))
             assert abs((u.sum() + v.sum()) / n - brute) <= slack
             assert abs(cost - brute) <= slack
 
@@ -544,37 +549,37 @@ def test_lp_equals_bruteforce(seed):
     n = 2 + seed % 5
     x, y = _pair(n, 2, 100 + seed)
     c = asg.cost_matrix(x, y)
-    lp = asg.match_lp(c)
-    assert lp.cost == pytest.approx(asg.match_bruteforce(c).cost, abs=1e-9)
-    assert np.allclose(lp.weights.sum(axis=0), 1.0, atol=1e-9)
-    assert np.allclose(lp.weights.sum(axis=1), 1.0, atol=1e-9)
+    cost, weights = asg.match_lp(c)
+    assert cost == pytest.approx(asg.match_bruteforce(c), abs=1e-9)
+    assert np.allclose(weights.sum(axis=0), 1.0, atol=1e-9)
+    assert np.allclose(weights.sum(axis=1), 1.0, atol=1e-9)
 
 
 def test_lp_identity_instance():
     x = geo.sample_uniform(4, 1.0, 2, 5)
-    lp = asg.match_lp(asg.cost_matrix(x, x))
-    assert lp.cost == pytest.approx(0.0, abs=1e-12)
-    assert np.allclose(lp.weights, np.eye(4), atol=1e-9)
+    cost, weights = asg.match_lp(asg.cost_matrix(x, x))
+    assert cost == pytest.approx(0.0, abs=1e-12)
+    assert np.allclose(weights, np.eye(4), atol=1e-9)
 
 
 def test_lp_two_by_two_diagonal():
-    c = asg.CostMatrix(2, np.array([[0.0, 1.0], [1.0, 0.0]]))
-    lp = asg.match_lp(c)
-    assert lp.cost == pytest.approx(0.0, abs=1e-12)
-    assert np.allclose(lp.weights, np.eye(2), atol=1e-9)
+    c = asg.CostMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    cost, weights = asg.match_lp(c)
+    assert cost == pytest.approx(0.0, abs=1e-12)
+    assert np.allclose(weights, np.eye(2), atol=1e-9)
 
 
 def test_lp_equals_solver_at_size_limit():
     x, y = _pair(asg.LP_SIZE_LIMIT, 2, 64)
     c = asg.cost_matrix(x, y)
-    assert asg.match_lp(c).cost == pytest.approx(asg.match_solver(c).cost, abs=1e-9)
+    assert asg.match_lp(c)[0] == pytest.approx(_solver_cost(c), abs=1e-9)
 
 
 def test_lp_solver_failure_raises(monkeypatch):
     failed = SimpleNamespace(status=2, message="infeasible")
     monkeypatch.setattr(asg, "linprog", lambda *args, **kwargs: failed)
     with pytest.raises(RuntimeError, match="infeasible"):
-        asg.match_lp(asg.CostMatrix(2, np.eye(2)))
+        asg.match_lp(asg.CostMatrix(np.eye(2)))
 
 
 def test_lp_refuses_large_instance():
@@ -592,27 +597,17 @@ def test_enumeration_invariance(seed):
     # permuting the input order changes sigma but not the optimal cost
     rng = np.random.default_rng(seed)
     x, y = _pair(6, 2, int(rng.integers(2**31)))
-    cost = asg.match_solver(asg.cost_matrix(x, y)).cost
+    cost = _solver_cost(asg.cost_matrix(x, y))
     order = rng.permutation(6)
     x_shuffled = geo.PointCloud(dim=2, side=1.0, points=x.points[order])
-    shuffled_cost = asg.match_solver(asg.cost_matrix(x_shuffled, y)).cost
+    shuffled_cost = _solver_cost(asg.cost_matrix(x_shuffled, y))
     assert shuffled_cost == pytest.approx(cost, rel=1e-12, abs=1e-15)
-
-
-def test_plan_costs_match_recomputation():
-    # the stored cost always equals the objective recomputed from the plan
-    x, y = _pair(6, 2, 91)
-    c = asg.cost_matrix(x, y)
-    solver = asg.match_solver(c)
-    assert solver.cost == pytest.approx(asg.perm_cost(c, solver.perm), rel=1e-12)
-    lp = asg.match_lp(c)
-    assert lp.cost == pytest.approx(asg.coupling_cost(c, lp.weights), rel=1e-12)
 
 
 def test_zero_cost_iff_equal_multisets():
     x = geo.sample_uniform(8, 1.0, 2, 77)
     order = np.random.default_rng(0).permutation(8)
     y = geo.PointCloud(dim=2, side=1.0, points=x.points[order])
-    assert asg.match_solver(asg.cost_matrix(x, y)).cost == pytest.approx(0.0, abs=1e-15)
+    assert _solver_cost(asg.cost_matrix(x, y)) == pytest.approx(0.0, abs=1e-15)
     z = geo.sample_uniform(8, 1.0, 2, 78)
-    assert asg.match_solver(asg.cost_matrix(x, z)).cost > 0.0
+    assert _solver_cost(asg.cost_matrix(x, z)) > 0.0

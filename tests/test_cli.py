@@ -54,20 +54,21 @@ def test_match_methods_agree(capsys):
 def test_match_solver_prints_the_warm_started_optimum(capsys, monkeypatch, dim, n):
     # the product route: the warm start's cost bit for bit, equal to the plain solve's;
     # at d = 3, N = 1024 the sparse route finds it without the matrix
-    shifts = []
+    sparse_calls = []
     sparse_optimum = asg._sparse_optimum
 
     def spy(x, y, f):
         found = sparse_optimum(x, y, f)
-        shifts.append(found is not None)
+        sparse_calls.append(found is not None)
         return found
 
     monkeypatch.setattr(asg, "_sparse_optimum", spy)
     code, out, err = run_cli(capsys, "match", "--n", str(n), "--dim", str(dim), "--seed", "1")
     assert code == 0, err
     x, y = xp.sample_pair(n, dim, 1.0, 1)
-    assert json.loads(out)["cost"] == asg.optimal_cost(x, y) == asg.match_solver(asg.cost_matrix(x, y)).cost
-    assert shifts == ([True, True] if n >= asg.CANDIDATE_MIN_N and dim >= 3 else [])
+    c = asg.cost_matrix(x, y)
+    assert json.loads(out)["cost"] == asg.optimal_cost(x, y) == asg.perm_cost(c, asg.match_solver(c))
+    assert sparse_calls == ([True, True] if n >= asg.CANDIDATE_MIN_N and dim >= 3 else [])
 
 
 def test_match_d1_builds_no_cost_matrix(capsys, monkeypatch):

@@ -1,5 +1,6 @@
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -148,3 +149,31 @@ def test_point_cloud_rejects_non_finite_coordinates(dim, n, bad):
         geo.PointCloud(dim=dim, side=1.0, points=pts)
     pts[n // 2, dim - 1] = 1e200  # finite, however far outside the box
     assert geo.PointCloud(dim=dim, side=1.0, points=pts).n == n
+
+
+@pytest.mark.parametrize("dim, shape", [(1, (5, 3)), (2, (3, 4)), (2, (6,)), (2, (1, 3, 2))])
+def test_point_cloud_rejects_points_of_the_wrong_shape(dim, shape):
+    # a (5, 3) array is not 15 points of d = 1, nor a (3, 4) array 6 points of d = 2
+    with pytest.raises(ValueError, match=re.escape(f"(N, {dim}), got {shape}")):
+        geo.PointCloud(dim=dim, side=1.0, points=np.zeros(shape))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 5])
+def test_point_cloud_accepts_n_by_dim_points(dim):
+    assert geo.PointCloud(dim=dim, side=1.0, points=np.zeros((0, dim))).n == 0
+    pts = geo.sample_uniform(7, 1.0, dim, 3).points.copy()
+    cloud = geo.PointCloud(dim=dim, side=1.0, points=pts)
+    assert cloud.n == 7 and np.array_equal(cloud.points, pts)
+    assert pts.flags.writeable and not cloud.points.flags.writeable
+
+
+def test_clouds_that_cannot_be_matched_are_rejected_as_a_pair():
+    x = geo.sample_uniform(4, 1.0, 2, 0)
+    geo.check_pair(x, geo.sample_uniform(4, 1.0, 2, 1))
+    with pytest.raises(ValueError, match="4 vs 5"):
+        geo.check_pair(x, geo.sample_uniform(5, 1.0, 2, 1))
+    with pytest.raises(ValueError, match="nonempty"):
+        geo.check_pair(*(geo.sample_uniform(0, 1.0, 2, i) for i in (0, 1)))
+    for other in (geo.sample_uniform(4, 1.0, 3, 1), geo.sample_uniform(4, 2.0, 2, 1)):
+        with pytest.raises(ValueError, match="dim and side"):
+            geo.check_pair(x, other)
