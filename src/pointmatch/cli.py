@@ -41,9 +41,9 @@ class ExperimentConfig:
     n_values: tuple
     dim: int
     side: float
-    trials: tuple
     master_seed: int
-    workers: int
+    trials: tuple = (1,)
+    workers: int = 1
     thetas: tuple = ()
     c_bound: float = 10.0
     out: str | None = None
@@ -54,6 +54,8 @@ class ExperimentConfig:
         min_n = 0 if self.subcommand == "sample" else 1  # an empty cloud is a valid CSV
         lo, hi = side_range(max(self.dim, 1))  # a --dim below 1 fails its own check first
         checks = [
+            (self.subcommand != "scaling" or len(self.trials) == len(self.n_values),
+             "--trials must be a single value or one per N"),
             (self.dim >= 1, f"--dim must be >= 1, got {self.dim}"),
             (lo <= self.side <= hi, f"--side must lie in [{lo!r}, {hi!r}] for --dim {self.dim}, got {self.side}"),
             (all(n >= min_n for n in self.n_values), f"every --n must be >= {min_n}, got {list(self.n_values)}"),
@@ -63,6 +65,8 @@ class ExperimentConfig:
             (all(0.0 <= t <= 1.0 for t in self.thetas), f"every --theta must lie in [0, 1], got {list(self.thetas)}"),
             (math.isfinite(self.c_bound) and self.c_bound > 0, f"--c-bound must be finite and > 0, got {self.c_bound}"),
             (self.master_seed >= 0, f"--seed must be >= 0, got {self.master_seed}"),
+            (self.subcommand != "lemma-check" or bool(self.n_values and self.thetas),
+             "lemma-check needs at least one --n and one --theta value"),
         ]
         if self.subcommand == "scaling":
             checks += [
@@ -212,12 +216,18 @@ def _same_kind(val, fallback) -> bool:
 
 
 def _config(subcommand: str, opts: dict) -> ExperimentConfig:
-    """The validated record of a run: options under their field names, a scalar N or trial count as a 1-tuple."""
+    """The validated record of a run: options under their field names, a scalar
+    N or trial count as a 1-tuple, a single value of a --trials list once per N."""
     record = {_CONFIG_ALIASES.get(key, key): val for key, val in opts.items()}
-    for field in ("n_values", "trials"):
-        if not isinstance(record[field], tuple):
-            record[field] = (record[field],)
-    return ExperimentConfig(subcommand, **{k: v for k, v in record.items() if k in _CONFIG_FIELDS})
+    record = {key: val for key, val in record.items() if key in _CONFIG_FIELDS}
+    if not isinstance(record["n_values"], tuple):
+        record["n_values"] = (record["n_values"],)
+    trials = record.get("trials", 1)  # sample and match run one instance
+    if not isinstance(trials, tuple):
+        record["trials"] = (trials,)
+    elif len(trials) == 1:
+        record["trials"] = trials * len(record["n_values"])
+    return ExperimentConfig(subcommand, **record)
 
 
 def _emit_summary(config: ExperimentConfig, results, fit: dict, t0: float, path: str | None) -> int:
@@ -242,43 +252,43 @@ def _emit_summary(config: ExperimentConfig, results, fit: dict, t0: float, path:
 _CSV_FIELD = {"fitted_constant": "constant"}
 
 
-def _emit_rows(opts: dict, config: ExperimentConfig, header: list, rows: list, t0: float, fit: dict | None = None) -> int:
-    """Write the rows as CSV to --out, one column per header name, then emit the summary."""
+def _emit_rows(opts: dict, config: ExperimentConfig, rows: list, t0: float, fit: dict, header: list | None = None) -> int:
+    """Write the rows as CSV to --out, one column per header name (default:
+    the rows' field names), then emit the summary."""
     if opts["out"]:
+        header = header or [f.name for f in fields(rows[0])]
         with open(opts["out"], "w", newline="") as f:
             w = csv.writer(f)
             w.writerow(header)
             w.writerows([getattr(r, _CSV_FIELD.get(h, h)) for h in header] for r in rows)
-    return _emit_summary(config, [asdict(r) for r in rows], fit or {}, t0, opts["json"])
+    return _emit_summary(config, [asdict(r) for r in rows], fit, t0, opts["json"])
 
 
 # ---------------------------------------------------------------------------
-# Subcommands. Each docstring is the subcommand's --help text.
+# Subcommands, each called as cmd(opts, config, t0) with the merged options,
+# their checked config and the clock started after the checks. Each docstring
+# is the subcommand's --help text.
 
 
-def cmd_sample(opts: dict) -> int:
+def cmd_sample(opts: dict, config: ExperimentConfig, t0: float) -> int:
     """write a uniform cloud as CSV (header x1,...,xd)"""
-    _config("sample", {**opts, "trials": 1, "workers": 1})  # the --dim, --side and --n checks
     cloud = sample_uniform(opts["n"], opts["side"], opts["dim"], opts["seed"])
     cloud_to_csv(cloud, opts["out"] or sys.stdout)
     return 0
 
 
-def cmd_match(opts: dict) -> int:
+def cmd_match(opts: dict, config: ExperimentConfig, t0: float) -> int:
     """exact matching cost of one instance; prints JSON"""
     method = opts["method"]
     if method not in _MATCH_SOLVERS:
         raise ValueError(f"unknown method {method!r}; expected one of {', '.join(_MATCH_SOLVERS)}")
-    _config("match", {**opts, "trials": 1, "workers": 1})  # the --dim, --side, --n and --seed checks
     limits = {"brute": ("brute force enumeration", asg.BRUTE_FORCE_LIMIT), "lp": ("dense LP", asg.LP_SIZE_LIMIT)}
     what, limit = limits.get(method, ("", math.inf))
     if opts["n"] > limit:  # the oracle's own check, before the clouds and their N x N matrix exist
         raise ValueError(f"{what} is limited to N <= {limit}, got N = {opts['n']}")
     x, y = xp.sample_pair(opts["n"], opts["dim"], opts["side"], opts["seed"])
-    t0 = time.perf_counter()
     cost = _MATCH_SOLVERS[method](x, y)
-    seconds = time.perf_counter() - t0
-    print(json.dumps({"cost": cost, "method": method, "seconds": round(seconds, 6)}))
+    print(json.dumps({"cost": cost, "method": method, "seconds": round(time.perf_counter() - t0, 6)}))
     return 0
 
 
@@ -288,28 +298,18 @@ def _instances(opts: dict, row) -> list:
     return map_trials(instance, trial_seeds(opts["seed"], opts["seeds"]), opts["workers"])
 
 
-def cmd_upper_bound(opts: dict) -> int:
+def cmd_upper_bound(opts: dict, config: ExperimentConfig, t0: float) -> int:
     """exact hierarchical map and coupling costs, from preimage boxes, vs the optimum; CSV rows (seed, k_star, map_cost, coupling_cost, optimal_cost, ub_over_opt)"""
-    config = _config("upper-bound", opts)
-    t0 = time.perf_counter()
-    rows = _instances(opts, xp.upper_bound_row)
-    header = [f.name for f in fields(xp.UpperBoundRow)]
-    return _emit_rows(opts, config, header, rows, t0)
+    return _emit_rows(opts, config, _instances(opts, xp.upper_bound_row), t0, {})
 
 
-def cmd_lower_bound(opts: dict) -> int:
+def cmd_lower_bound(opts: dict, config: ExperimentConfig, t0: float) -> int:
     """certified dual lower bound (the c-transform pair of the exact solve's warm start) vs the optimum, gain = mean of the paper's potential over the x-cloud (its spatial mean is exactly 0); CSV rows (seed, gain, certified_lower_bound, optimal_cost, lb_over_opt)"""
-    config = _config("lower-bound", opts)
-    t0 = time.perf_counter()
-    rows = _instances(opts, xp.lower_bound_row)
-    header = [f.name for f in fields(xp.LowerBoundRow)]
-    return _emit_rows(opts, config, header, rows, t0)
+    return _emit_rows(opts, config, _instances(opts, xp.lower_bound_row), t0, {})
 
 
-def cmd_sandwich(opts: dict) -> int:
+def cmd_sandwich(opts: dict, config: ExperimentConfig, t0: float) -> int:
     """per-instance sandwich certified lower bound <= optimum <= coupling cost, the optimum and its lower bound from one solve; CSV rows (seed, certified_lower_bound, optimal_cost, coupling_cost, lb_over_opt, ub_over_opt); exits 1, after writing both, if an instance breaks it"""
-    config = _config("sandwich", opts)
-    t0 = time.perf_counter()
     rows = _instances(opts, xp.sandwich_row)
     # Both costs are sums of N non-negative terms, each off by at most about
     # N eps relative; so a coupling that undercuts the optimum by less than
@@ -324,47 +324,34 @@ def cmd_sandwich(opts: dict) -> int:
         "violations": len(violating),
         "upper_tight": sum(abs(r.optimal_cost - r.coupling_cost) <= slack * r.optimal_cost for r in rows),
     }
-    header = [f.name for f in fields(xp.SandwichRow)]
-    _emit_rows(opts, config, header, rows, t0, fit)
+    _emit_rows(opts, config, rows, t0, fit)
     if violating:
         print(f"sandwich violated at seed(s) {', '.join(map(str, violating))}", file=sys.stderr)
         return 1
     return 0
 
 
-def cmd_scaling(opts: dict) -> int:
+def cmd_scaling(opts: dict, config: ExperimentConfig, t0: float) -> int:
     """mean exact cost over N list with shape fit; CSV rows (n, dim, trials, mean, stderr, fitted_constant)"""
-    n_values, trials = opts["n"], opts["trials"]
-    if len(trials) == 1:
-        trials = trials * len(n_values)
-    if len(trials) != len(n_values):
-        raise ValueError("--trials must be a single value or one per N")
-    config = _config("scaling", {**opts, "trials": trials})
-    t0 = time.perf_counter()
     results, fit = xp.scaling_experiment(
-        n_values, list(trials), opts["dim"], side=opts["side"],
+        config.n_values, list(config.trials), opts["dim"], side=opts["side"],
         master_seed=opts["seed"], workers=opts["workers"],
     )
     header = ["n", "dim", "trials", "mean", "stderr", "fitted_constant"]
-    return _emit_rows(opts, config, header, results, t0, asdict(fit))
+    return _emit_rows(opts, config, results, t0, asdict(fit), header)
 
 
-def cmd_recursion_audit(opts: dict) -> int:
+def cmd_recursion_audit(opts: dict, config: ExperimentConfig, t0: float) -> int:
     """per-level cost of the hierarchical map, exact per cloud, averaged over --trials clouds, and the smallest constant of the one-step recursion; CSV rows (level, scale, mean_sq, stderr, increment, cross_term, cross_stderr, admissible_c)"""
-    config = _config("recursion-audit", opts)
-    t0 = time.perf_counter()
     rows = xp.recursion_audit(
         opts["n"], opts["dim"], side=opts["side"], trials=opts["trials"],
         master_seed=opts["seed"], workers=opts["workers"],
     )
-    header = [f.name for f in fields(xp.AuditRow)]
-    return _emit_rows(opts, config, header, rows, t0, {"admissible_c": max(r.admissible_c for r in rows)})
+    return _emit_rows(opts, config, rows, t0, {"admissible_c": max(r.admissible_c for r in rows)})
 
 
-def cmd_lemma_check(opts: dict) -> int:
+def cmd_lemma_check(opts: dict, config: ExperimentConfig, t0: float) -> int:
     """box-count moment and concentration report (JSON)"""
-    config = _config("lemma-check", opts)
-    t0 = time.perf_counter()
     results = []
     for i, n in enumerate(config.n_values):
         for j, theta in enumerate(config.thetas):
@@ -417,21 +404,25 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
+    """Parse a command line, check the whole run (flags, --config and defaults
+    merged, then `ExperimentConfig`), then start the clock and the subcommand."""
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
-        return _COMMANDS[args.subcommand](_merge(args, OPTIONS[args.subcommand]))
+        opts = _merge(args, OPTIONS[args.subcommand])
+        config = _config(args.subcommand, opts)
+        return _COMMANDS[args.subcommand](opts, config, time.perf_counter())
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:  # a trial's names the trial and its seed
+        print(f"out of memory: {exc if isinstance(exc, TrialError) else repr(exc)}", file=sys.stderr)
+        return 1
     except (TrialError, RuntimeError, AssertionError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
-        return 1
-    except MemoryError as exc:
-        print(f"out of memory: {exc!r}", file=sys.stderr)
         return 1
 
 

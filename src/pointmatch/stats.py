@@ -40,6 +40,10 @@ class TrialError(RuntimeError):
         return f"trial {self.trial} (seed {self.seed}) failed: {self.cause}"
 
 
+class TrialOutOfMemory(TrialError, MemoryError):
+    """A trial ran out of memory: a TrialError, so a forked child sends it back, and a MemoryError."""
+
+
 def default_workers() -> int:
     """The CPUs this process may run on (the CPU count where that is unknown)."""
     try:
@@ -82,7 +86,8 @@ def _run_trial(observable, trial: int, seed: int):
     except TrialError:
         raise
     except Exception as exc:  # noqa: BLE001 - surfaced with the failing seed
-        raise TrialError(trial, seed, repr(exc)) from exc
+        error = TrialOutOfMemory if isinstance(exc, MemoryError) else TrialError
+        raise error(trial, seed, repr(exc)) from exc
 
 
 class _Child:

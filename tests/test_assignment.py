@@ -346,6 +346,55 @@ def test_candidate_shift_skips_a_gap_it_cannot_certify(sparse_calls, dense_solve
     assert (sparse_calls, dense_solves) == ([False], [200, 200])
 
 
+def _dense_with_dual(monkeypatch, x, y):
+    """optimal_with_dual(x, y) by the dense route, then the sparse route forced again."""
+    monkeypatch.setattr(asg, "CANDIDATE_MIN_N", x.n + 1)
+    found = asg.optimal_with_dual(x, y)
+    monkeypatch.setattr(asg, "CANDIDATE_MIN_N", 1)
+    return found
+
+
+@pytest.mark.parametrize("query", [0, 1])
+def test_sparse_optimum_hands_over_when_the_lift_cannot_decide(sparse_calls, dense_solves, monkeypatch, query):
+    # query 0 is the lift of x that gives g, query 1 the lift of y that gives h
+    x, y = _pair(200, 3, 28)
+    dense = _dense_with_dual(monkeypatch, x, y)
+    assert asg.optimal_with_dual(x, y) == dense
+    lifted_nearest = asg._lifted_nearest
+    queries = []
+
+    def unsure(*args):
+        near, sure = lifted_nearest(*args)
+        queries.append(len(queries))
+        return near, sure & (queries[-1] != query)
+
+    monkeypatch.setattr(asg, "_lifted_nearest", unsure)
+    assert asg.optimal_with_dual(x, y) == dense
+    assert (sparse_calls, dense_solves, queries) == ([True, False], [200, 200], list(range(query + 1)))
+
+
+def test_sparse_optimum_stops_when_short_rows_add_no_edge(sparse_calls, dense_solves, monkeypatch):
+    # the check finds row 0 short of its dual, by a value lowered far below the certified gap;
+    # its nearest edges violate nothing, so the loop stops and certifies the matching it has
+    x, y = _pair(200, 3, 29)
+    dense = _dense_with_dual(monkeypatch, x, y)
+    nearest = asg._nearest
+    ks = []
+
+    def short_first_row(tree, points, k):
+        idx, v = nearest(tree, points, k)
+        ks.append(k)
+        if k == 1:  # the check's query of every row
+            v = v.copy()
+            v[0] -= 1e-13
+        return idx, v
+
+    monkeypatch.setattr(asg, "_nearest", short_first_row)
+    assert asg.optimal_with_dual(x, y) == dense
+    k = asg.CANDIDATE_K
+    assert (sparse_calls, dense_solves, ks) == ([True], [200], [k + 1, k + 1, 1, k])
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 10])
 def test_candidate_shift_skips_clouds_no_larger_than_k(sparse_calls, n):
     x, y = _pair(n, 3, 23)

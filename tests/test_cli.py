@@ -39,6 +39,15 @@ def test_sample_writes_file(tmp_path, capsys):
     assert len(lines) == 6
 
 
+def test_json_path_holds_the_summary_and_stdout_stays_empty(tmp_path, capsys):
+    argv = ["upper-bound", "--n", "16", "--seeds", "2", "--seed", "3"]
+    path = tmp_path / "ub.json"
+    assert run_cli(capsys, *argv, "--workers", "1", "--json", str(path)) == (0, "", "")
+    written, printed = json.loads(path.read_text()), _summary(capsys, *argv)
+    assert written["config"]["subcommand"] == "upper-bound" and len(written["results"]) == 2
+    assert {**written, "seconds": 0} == {**printed, "seconds": 0}
+
+
 def test_match_methods_agree(capsys):
     costs = {}
     for method in ("brute", "solver", "lp"):
@@ -104,6 +113,35 @@ def test_out_of_memory_exits_1_with_one_line(capsys, monkeypatch, argv):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+COST_MATRIX = asg.cost_matrix
+
+
+def out_of_memory_in_a_child(x, y):
+    # forked children inherit the stand-in; this process builds its share's matrices
+    if os.getpid() != TEST_PID:
+        out_of_memory()
+    return COST_MATRIX(x, y)
+
+
+@pytest.mark.parametrize(
+    "workers,stand_in,trial", [("1", out_of_memory, 0), ("2", out_of_memory, 0), ("2", out_of_memory_in_a_child, 2)]
+)
+@pytest.mark.parametrize("subcommand", ["upper-bound", "scaling"])
+def test_out_of_memory_in_a_trial_exits_1_naming_it(capsys, monkeypatch, subcommand, workers, stand_in, trial):
+    # with 4 trials and 2 workers, trial 2 is the first of the forked child's share;
+    # scaling's trials of its first N run first, on substream 0 of the master seed
+    argv, master = {
+        "upper-bound": (["--n", "16", "--seeds", "4"], 5),
+        "scaling": (["--n", "16,32,64", "--trials", "4"], substream_seed(5, 0)),
+    }[subcommand]
+    monkeypatch.setattr(asg, "cost_matrix", stand_in)
+    code, out, err = run_cli(capsys, subcommand, *argv, "--dim", "2", "--seed", "5", "--workers", workers)
+    assert (code, out) == (1, "")
+    seed = substream_seed(master, trial)
+    assert err.startswith(f"out of memory: trial {trial} (seed {seed}) failed: MemoryError('Unable to allocate 298. GiB")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_package_runs_as_a_module():
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -163,6 +201,7 @@ def test_unknown_flag_exits_2(capsys):
         ["match", "--n", "8", "--dim", "2", "--side", "1e300"],
         ["sample", "--n", "2", "--side", "1e-320"],
         ["sample", "--n", "2", "--dim", "3", "--side", "1e100"],
+        ["scaling", "--n", "4,8,16", "--trials", "2,3"],
     ],
 )
 def test_bad_configuration_exits_2_before_any_work(capsys, monkeypatch, argv):
@@ -184,6 +223,9 @@ def test_bad_configuration_exits_2_before_any_work(capsys, monkeypatch, argv):
         ("scaling", {"n": 16}),
         ("lemma-check", {"c_bound": None}),
         ("upper-bound", "n"),
+        ("upper-bound", {"out": 5}),
+        ("lemma-check", {"n": []}),
+        ("lemma-check", {"theta": []}),
     ],
 )
 def test_bad_config_file_exits_2_before_any_work(tmp_path, capsys, monkeypatch, subcommand, content):
@@ -566,16 +608,20 @@ def test_subcommands_call_no_grid_or_monte_carlo_route(capsys, monkeypatch, subc
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def test_readme_cli_lines_parse():
-    # every `pointmatch ...` line of a README code block must parse against the option tables
+def test_readme_cli_lines_parse(monkeypatch):
+    # every `pointmatch ...` line of a README code block (the CLI block and the
+    # scaling sweep) must pass the checks `run` makes before any work: no flag
+    # gone, no configuration that exits 2
+    monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
     blocks = re.findall(r"^```[^\n]*\n(.*?)^```", README.read_text(), flags=re.M | re.S)
     lines = [line for block in blocks for line in block.splitlines() if line.startswith("pointmatch ")]
     parser = cli.build_parser()
     for line in lines:
         try:
-            parser.parse_args(shlex.split(line, comments=True)[1:])
-        except SystemExit:
-            pytest.fail(f"README line does not parse: {line}")
+            args = parser.parse_args(shlex.split(line, comments=True)[1:])
+            cli._config(args.subcommand, cli._merge(args, cli.OPTIONS[args.subcommand]))
+        except (SystemExit, ValueError) as exc:
+            pytest.fail(f"README line would exit 2: {line}: {exc}")
     assert {line.split()[1] for line in lines} == set(cli._COMMANDS)
 
 
