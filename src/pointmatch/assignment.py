@@ -97,10 +97,6 @@ def pair_cost(x: PointCloud, y: PointCloud, perm: np.ndarray) -> float:
     return float(_sq_dist(x.points, y.points[perm]).mean())
 
 
-def coupling_cost(c: CostMatrix, weights: np.ndarray) -> float:
-    return float((c.entries * weights).sum() / c.n)
-
-
 def match_bruteforce(c: CostMatrix) -> float:
     """Exact optimum by enumerating all permutations; guarded to N <= 10."""
     n = c.n
@@ -138,10 +134,7 @@ def match_solver(c: CostMatrix) -> np.ndarray:
     """
     if not (np.isfinite(c.entries.min()) and np.isfinite(c.entries.max())):
         raise ValueError("cost matrix has non-finite entries")
-    rows, cols = linear_sum_assignment(c.entries)
-    perm = np.empty(c.n, dtype=np.intp)
-    perm[rows] = cols
-    return perm
+    return linear_sum_assignment(c.entries)[1]  # a square matrix's row indices are arange(N)
 
 
 def poisson_dual(x: PointCloud, y: PointCloud) -> np.ndarray:
@@ -499,4 +492,4 @@ def match_lp(c: CostMatrix) -> tuple[float, np.ndarray]:
     if res.status != 0:
         raise RuntimeError(f"HiGHS did not solve the transport LP: {res.message}")
     weights = res.x.reshape(n, n)
-    return coupling_cost(c, weights), weights
+    return float((c.entries * weights).sum() / n), weights

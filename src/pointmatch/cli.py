@@ -188,11 +188,16 @@ def _merge(args: argparse.Namespace, options: dict) -> dict:
         if default is None and val is not None:
             _check_output_path(key, val)
         merged[key] = val
+    out, summary = merged.get("out"), merged.get("json")
+    if out and summary and os.path.realpath(out) == os.path.realpath(summary):
+        raise ValueError(f"--out {out} and --json {summary} name the same file")
     return merged
 
 
 def _check_output_path(key: str, path: str) -> None:
     """Reject, before any work, an output path that cannot be written."""
+    if not path:
+        raise ValueError(f"--{key} must not be empty")
     if os.path.isdir(path):
         raise ValueError(f"--{key} {path} is a directory")
     parent = os.path.dirname(os.path.abspath(path))
@@ -428,7 +433,3 @@ def run(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run())
-
-
-if __name__ == "__main__":
-    main()

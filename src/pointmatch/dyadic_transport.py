@@ -260,7 +260,7 @@ def _descend(h: HierarchicalMap, xs: np.ndarray, record_levels: bool = False):
     every level.
     """
     tree = h.tree
-    d, L = tree.dim, tree.side
+    d = tree.dim
     xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
     p = xs.shape[0]
     pos = xs.copy()
@@ -270,7 +270,7 @@ def _descend(h: HierarchicalMap, xs: np.ndarray, record_levels: bool = False):
 
     for level in range(1, tree.k_star + 1):
         c = split_coordinate(level, d)
-        half = L * 2.0 ** (-((level - 1) // d + 1))
+        half = tree.scale(level)
         rho = tree.rho_left(level)[b]
         u = np.clip((pos[:, c] - lo[:, c]) / half, 0.0, 2.0)
         v = _block_map_vec(rho, u)

@@ -223,24 +223,15 @@ def recursion_audit(
     """
     if trials < 2:
         raise ValueError("audit needs at least 2 trials")
-    k_star = dy.stopping_level(n, dim)
 
     def level_terms(seed: int) -> tuple[np.ndarray, np.ndarray]:
         return dy.level_costs_exact(dy.build_tree(sample_uniform(n, side, dim, seed)))
 
-    terms = np.array(map_trials(level_terms, trial_seeds(master_seed, trials), workers))
-    sq_sums, cross_sums = terms[:, 0], terms[:, 1]
+    terms = np.array(map_trials(level_terms, trial_seeds(master_seed, trials), workers))  # (trials, 2, levels)
+    (means, cross_means), (errs, cross_errs) = terms.mean(axis=0), terms.std(axis=0, ddof=1) / np.sqrt(trials)
     r = side * n ** (-1.0 / dim)
-    means = sq_sums.mean(axis=0)
-    errs = sq_sums.std(axis=0, ddof=1) / np.sqrt(trials)
-    cross_means = cross_sums.mean(axis=0)
-    cross_errs = cross_sums.std(axis=0, ddof=1) / np.sqrt(trials)
-
-    rows = []
-    for k in range(k_star + 1):
-        if k == 0:
-            rows.append(AuditRow(0, dy.level_scale(0, dim, side), means[0], errs[0], 0.0, 0.0, 0.0, 0.0))
-            continue
+    rows = [AuditRow(0, dy.level_scale(0, dim, side), means[0], errs[0], 0.0, 0.0, 0.0, 0.0)]
+    for k in range(1, means.size):  # levels 1..k*
         lk = dy.level_scale(k, dim, side)
         a_k = (lk / r) ** (2 - dim) * r**2
         b_k = (r / lk) ** dim

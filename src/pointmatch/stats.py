@@ -83,8 +83,6 @@ def trial_seeds(master_seed: int, count: int) -> list:
 def _run_trial(observable, trial: int, seed: int):
     try:
         return observable(seed)
-    except TrialError:
-        raise
     except Exception as exc:  # noqa: BLE001 - surfaced with the failing seed
         error = TrialOutOfMemory if isinstance(exc, MemoryError) else TrialError
         raise error(trial, seed, repr(exc)) from exc

@@ -40,6 +40,15 @@ def test_count_mean_matches_lemma():
     assert abs(ens.mean - mean) <= 4 * se
 
 
+@pytest.mark.parametrize(
+    "n_total, theta, message",
+    [(0, 0.5, "n_total"), (-3, 0.5, "n_total"), (10, -0.1, "theta"), (10, 1.5, "theta"), (10, math.nan, "theta")],
+)
+def test_moment_bounds_rejects_empty_total_or_theta_outside_unit_interval(n_total, theta, message):
+    with pytest.raises(ValueError, match=message):
+        bi.moment_bounds(n_total, theta)
+
+
 def test_moment_bounds_values():
     assert bi.moment_bounds(100, 0.25) == (25.0, 18.75, 3 * 18.75**2 + 18.75)
     assert bi.moment_bounds(100, 0.25)[2] == pytest.approx(1073.4375)

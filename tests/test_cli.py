@@ -202,6 +202,11 @@ def test_unknown_flag_exits_2(capsys):
         ["sample", "--n", "2", "--side", "1e-320"],
         ["sample", "--n", "2", "--dim", "3", "--side", "1e100"],
         ["scaling", "--n", "4,8,16", "--trials", "2,3"],
+        # an empty output path, and one file named by both outputs
+        ["upper-bound", "--n", "16", "--seeds", "2", "--workers", "1", "--out", ""],
+        ["upper-bound", "--n", "16", "--seeds", "2", "--workers", "1", "--json", ""],
+        ["sample", "--n", "3", "--out", ""],
+        ["upper-bound", "--n", "16", "--seeds", "2", "--workers", "1", "--out", "same.txt", "--json", "./same.txt"],
     ],
 )
 def test_bad_configuration_exits_2_before_any_work(capsys, monkeypatch, argv):
@@ -226,6 +231,9 @@ def test_bad_configuration_exits_2_before_any_work(capsys, monkeypatch, argv):
         ("upper-bound", {"out": 5}),
         ("lemma-check", {"n": []}),
         ("lemma-check", {"theta": []}),
+        ("upper-bound", {"out": ""}),
+        ("lemma-check", {"json": ""}),
+        ("recursion-audit", {"out": "same.csv", "json": "./same.csv"}),
     ],
 )
 def test_bad_config_file_exits_2_before_any_work(tmp_path, capsys, monkeypatch, subcommand, content):

@@ -75,6 +75,16 @@ def test_phi_block_vanishes_at_balance():
     assert np.all(dp.phi_block(1.0, xs) == 0.0)
 
 
+def test_block_and_level_out_of_range_are_rejected():
+    for rho in (-0.1, 2.1, math.nan):
+        with pytest.raises(ValueError, match="rho_minus must lie in"):
+            dp.phi_block(rho, 0.5)
+    tree = dy.build_tree(geo.sample_uniform(64, 1.0, 2, 7))
+    for level in (-1, tree.k_star + 1):
+        with pytest.raises(ValueError, match=rf"level must lie in \[0, {tree.k_star}\]"):
+            DualPotential(tree, level)
+
+
 def test_phi_block_antisymmetry():
     xs = np.linspace(0.0, 2.0, 33)
     assert np.allclose(dp.phi_block(2.0 - 1.3, xs), -dp.phi_block(1.3, xs), atol=1e-14)

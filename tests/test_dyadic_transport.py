@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from pointmatch import assignment as asg
 from pointmatch import dyadic_transport as dy
 from pointmatch import experiments as xp
 from pointmatch import geometry as geo
+from pointmatch.stats import trial_seeds
 
 
 def _cloud_from(points, side=1.0):
@@ -94,6 +96,11 @@ def test_stopping_level_rejects_empty_or_dimensionless(n, dim):
         dy.stopping_level(n, dim)
 
 
+def test_build_tree_rejects_empty_cloud():
+    with pytest.raises(ValueError, match="nonempty"):
+        dy.build_tree(geo.sample_uniform(0, 1.0, 2, 0))
+
+
 def test_preimage_volume_product_identity():
     for seed, (n, dim) in enumerate([(3, 1), (17, 2), (200, 3), (256, 2)]):
         tree = dy.build_tree(geo.sample_uniform(n, 1.0, dim, seed))
@@ -118,6 +125,10 @@ def test_block_map_degenerate_endpoints():
         dy.block_map(1.0, 2.5)
     with pytest.raises(ValueError):
         dy.block_map(-0.1, 1.0)
+    for closed_form in (dy.block_map_displacement_cost, dy.block_map_symmetrized_defect):
+        for rho in (-0.1, 2.1, math.nan):
+            with pytest.raises(ValueError, match="rho_minus must lie in"):
+                closed_form(rho)
 
 
 def test_block_map_quadrature_matches_closed_form():
@@ -230,6 +241,8 @@ def test_map_cost_probe_floor():
     h = dy.build_map(geo.sample_uniform(4, 1.0, 1, 0))
     with pytest.raises(ValueError):
         dy.map_cost(h, probes=10)
+    with pytest.raises(ValueError, match="probes must be >="):
+        dy.couple_two_clouds(h, h, probes=dy.MIN_COST_PROBES - 1)
 
 
 def _mean_map_cost(n, dim, trials, master_seed):
@@ -499,6 +512,11 @@ def test_level_costs_exact_match_monte_carlo_oracle(dim, n):
             assert abs(exact - samples.mean()) <= 4 * se
 
 
+def test_audit_needs_two_trials():
+    with pytest.raises(ValueError, match="at least 2 trials"):
+        xp.recursion_audit(16, 1, trials=1)
+
+
 def test_audit_level_zero_is_identity():
     rows = xp.recursion_audit(16, 1, trials=5, master_seed=0)
     assert rows[0].mean_sq == 0.0
@@ -520,3 +538,32 @@ def test_audit_d2_increments_level_independent():
     rows = xp.recursion_audit(1024, 2, trials=80, master_seed=6)
     inc = np.array([row.increment for row in rows[1:]])
     assert inc.max() / inc.min() <= 4.0
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("dim, n", [(1, 64), (2, 256)])
+def test_recursion_audit_rows_equal_per_cloud_terms(dim, n, workers):
+    # every field, bit for bit, against each cloud's exact terms reduced by separate per-term passes
+    side, trials, master_seed = 0.7, 6, 3
+    terms = np.array([
+        dy.level_costs_exact(dy.build_tree(geo.sample_uniform(n, side, dim, seed)))
+        for seed in trial_seeds(master_seed, trials)
+    ])
+    sq_sums, cross_sums = terms[:, 0], terms[:, 1]
+    means = sq_sums.mean(axis=0)
+    errs = sq_sums.std(axis=0, ddof=1) / np.sqrt(trials)
+    cross_means = cross_sums.mean(axis=0)
+    cross_errs = cross_sums.std(axis=0, ddof=1) / np.sqrt(trials)
+    r = side * n ** (-1.0 / dim)
+    rows = xp.recursion_audit(n, dim, side=side, trials=trials, master_seed=master_seed, workers=workers)
+    assert len(rows) == dy.stopping_level(n, dim) + 1 == means.size
+    for k, row in enumerate(rows):
+        lk = dy.level_scale(k, dim, side)
+        want = (k, lk, means[k], errs[k], 0.0, 0.0, 0.0, 0.0)
+        if k > 0:
+            a_k = (lk / r) ** (2 - dim) * r**2
+            b_k = (r / lk) ** dim
+            increment = means[k] - means[k - 1]
+            c_k = max(0.0, increment / (a_k + b_k * means[k - 1]))
+            want = (k, lk, means[k], errs[k], increment, cross_means[k], cross_errs[k], c_k)
+        assert astuple(row) == want

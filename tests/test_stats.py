@@ -30,6 +30,11 @@ def failing_on_third(seed):
     return 1.0
 
 
+def test_run_ensemble_needs_two_trials():
+    with pytest.raises(ValueError, match="at least 2 trials"):
+        stats.run_ensemble(constant_seven, 1, 0)
+
+
 def test_constant_observable():
     ens = stats.run_ensemble(constant_seven, 50, 0)
     single = stats.TrialEnsemble(observations=np.array([7.0]))
@@ -284,6 +289,8 @@ def test_fit_requires_three_points_and_positive_means():
         stats.fit_scaling([(4, 0.1), (8, 0.2)], dim=1)
     with pytest.raises(ValueError):
         stats.fit_scaling([(4, 0.1), (8, -0.2), (16, 0.1)], dim=1)
+    with pytest.raises(ValueError, match="N >= 2"):  # ln N vanishes at N = 1
+        stats.fit_scaling([(1, 0.1), (4, 0.2), (8, 0.3)], dim=2)
 
 
 def test_constant_model_for_d3():
