@@ -22,7 +22,11 @@ candidates, so the sparse assignment on each row's and each column's
 CANDIDATE_K cheapest reduced entries, found by kd-tree queries on the
 power-diagram lift of the potentials, is checked against every other entry by one more lifted query;
 violating entries join and it is solved again (column generation, as in
-Schmitzer's sparse multiscale transport solver). The check certifies the
+Schmitzer's sparse multiscale transport solver). Each solve after the first
+starts from the last round's duals: its weights are the entries reduced by
+them, so the last matching's edges weigh least and the solver only augments
+the rows the new entries disturb, and Bellman-Ford descends from the last
+row duals instead of from 0. The check certifies the
 permutation: its cost is within a computed gap, at most CERTIFIED_GAP of it,
 of the optimum. g and h are the dense route's floats, so the bound does not
 move; where a step fails, the dense route runs.
@@ -46,8 +50,8 @@ BRUTE_FORCE_LIMIT = 10
 LP_SIZE_LIMIT = 64
 # The sparse route of `optimal_with_dual` (d >= 3): from N = CANDIDATE_MIN_N, each row's and
 # column's CANDIDATE_K cheapest reduced entries, Bellman-Ford capped at CANDIDATE_ROUNDS rounds (about
-# 250 sufficed at N = 4096), at most CHECK_ROUNDS solves (1-3 sufficed up to N = 16384), and a
-# certified gap of at most CERTIFIED_GAP of the cost.
+# 250 sufficed from 0 at N = 4096; from the last round's duals, 3-150), at most CHECK_ROUNDS solves
+# (1-3 sufficed up to N = 16384), and a certified gap of at most CERTIFIED_GAP of the cost.
 CANDIDATE_MIN_N = 1024
 CANDIDATE_K = 10
 CANDIDATE_ROUNDS = 1024
@@ -348,15 +352,24 @@ def _sparse_optimum(x: PointCloud, y: PointCloud, f: np.ndarray) -> tuple[float,
       its column. Such ties are how a row's (k + 1)-th entry can reach its
       first on random clouds.
     - The candidates' entries w >= 0 go to LAPJVsp as integer weights
-      W = rint(w / unit) + 1 >= 1 with unit = max(w) / 2^32: it needs non-zero
+      W = rint(s / unit) + 1 >= 1 with unit = max(s) / 2^32: it needs non-zero
       weights, and on float weights it can loop forever where rounding makes
       ties inconsistent (seen on lattice clouds), while integers below 2^33
-      keep its sums exact up to N = 2^19. Its matching sigma is optimal for W.
+      keep its sums exact up to N = 2^19. In the first round s = w. Later,
+      s = (w - a_n) - b_m on the last round's duals, less each row's least s
+      where that is below 0 (the entries that joined): row and column
+      constants leave the optimal permutation as it is, the last sigma's
+      edges weigh W = 1 in every row not lowered, and the solver's start
+      assigns almost every row at once. Its matching sigma is optimal for W.
     - Bellman-Ford over the edges, on the float w, gives row duals a <= 0 and
-      column duals b_j = w_(rho(j), j) - a_(rho(j)), tight on sigma. Where
+      column duals b_j = w_(rho(j), j) - a_(rho(j)), tight on sigma. It starts
+      from 0 in the first round and from the last round's a later, and
+      reaches the greatest such duals at most its start. Where
       sigma misses the optimum of w on its edges by more than the rounding of
       w (tol = delta (max w + max|f| + max|g| + max|h|) an edge), it does not
-      settle.
+      settle. Only sigma comes from s: Bellman-Ford, the check and the
+      certificate read w and the points, so a sigma the rounding of s left
+      suboptimal fails here or in the gap, as one rounded from w would.
     - The check: one nearest query of y lifted by G = g + b gives, for every
       row, q_n = min_m (C_nm - G_m) + max G within delta (q_n + |max G|).
       Rows short of f_n + h_n + a_n by more than that add their violating
@@ -395,15 +408,20 @@ def _sparse_optimum(x: PointCloud, y: PointCloud, f: np.ndarray) -> tuple[float,
         return r, c, ((_sq_dist(xs[r], ys[c]) - f[r]) - g[c]) - h[r]
 
     # each row's k nearest and each column's k nearest, so that no column is left with too few rows
-    keys = np.union1d(np.arange(n).repeat(k) * n + cands.ravel(), near.ravel() * n + np.arange(n).repeat(k))
+    keys = _union(np.arange(n).repeat(k) * n + cands.ravel(), near.ravel() * n + np.arange(n).repeat(k))
     from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
+    a = b = None
     for _ in range(CHECK_ROUNDS):
         rows, cols, w = reduced(keys)  # sorted by row
         deg = np.bincount(rows, minlength=n)
         first = np.cumsum(deg) - deg
-        unit = float(w.max()) / 2**32 or 1.0
-        graph = sparse.csr_array((np.rint(w / unit) + 1.0, cols, np.append(first, rows.size)), shape=(n, n))
+        s = w
+        if a is not None:  # reduced by the last round's duals, then each row raised to a least s of 0 if below
+            s = (w - a[rows]) - b[cols]
+            s -= np.minimum(np.minimum.reduceat(s, first), 0.0)[rows]
+        unit = float(s.max()) / 2**32 or 1.0
+        graph = sparse.csr_array((np.rint(s / unit) + 1.0, cols, np.append(first, rows.size)), shape=(n, n))
         try:
             sigma = min_weight_full_bipartite_matching(graph)[1]
         except ValueError:
@@ -419,7 +437,7 @@ def _sparse_optimum(x: PointCloud, y: PointCloud, f: np.ndarray) -> tuple[float,
         slot = np.arange(rows.size) - first[rows]
         tails[slot, rows] = rho[cols]
         lengths[slot, rows] = w - w_col[cols]
-        a = _settle(tails, lengths, delta * (float(w.max()) + spread))
+        a = _settle(tails, lengths, delta * (float(w.max()) + spread), a)
         if a is None:
             return None
         b = w_col - a[rho]
@@ -432,7 +450,7 @@ def _sparse_optimum(x: PointCloud, y: PointCloud, f: np.ndarray) -> tuple[float,
         if short.size == 0:
             break
         r, c, wr = reduced(np.repeat(short, k) * n + _nearest(tree, xs[short], k)[0].ravel())
-        grown = np.union1d(keys, (r * n + c)[wr < a[r] + b[c]])
+        grown = _union(keys, (r * n + c)[wr < a[r] + b[c]])
         if grown.size == keys.size:
             break
         keys = grown
@@ -448,16 +466,18 @@ def _sparse_optimum(x: PointCloud, y: PointCloud, f: np.ndarray) -> tuple[float,
     return cost, g, h, gap
 
 
-def _settle(tails: np.ndarray, lengths: np.ndarray, tol: float) -> np.ndarray | None:
-    """A p <= 0 with p_h <= p_t + l + tol for every edge t -> h, or None.
+def _settle(tails: np.ndarray, lengths: np.ndarray, tol: float, start: np.ndarray | None = None) -> np.ndarray | None:
+    """A p <= start with p_h <= p_t + l + tol for every edge t -> h, or None.
 
     Column h of the (D, N) arrays lists the tails and lengths of the edges into
-    node h. Jacobi Bellman-Ford from p = 0, until no node falls by more than
-    tol in a round; None if that has not happened within CANDIDATE_ROUNDS
-    rounds. tol lets a cycle of zero length, which rounding may make a last
-    bit negative, settle.
+    node h. Jacobi Bellman-Ford from p = start (zeros if None; start <= 0),
+    until no node falls by more than tol in a round; None if that has not
+    happened within CANDIDATE_ROUNDS rounds. Without a negative cycle it
+    reaches the greatest p <= start that satisfies every edge, up to tol. tol
+    lets a cycle of zero length, which rounding may make a last bit negative,
+    settle.
     """
-    p = np.zeros(tails.shape[1])
+    p = np.zeros(tails.shape[1]) if start is None else start.copy()
     for _ in range(CANDIDATE_ROUNDS):
         reach = p[tails]
         reach += lengths
@@ -466,6 +486,18 @@ def _settle(tails: np.ndarray, lengths: np.ndarray, tol: float) -> np.ndarray | 
             return p
         np.minimum(p, best, out=p)
     return None
+
+
+def _union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The sorted unique keys of a and b, as `np.union1d` gives them, by one sort.
+
+    `np.union1d` is about 20 times slower on the route's int64 edge keys (20 N keys, N = 1024 and 4096).
+    """
+    keys = np.concatenate([a, b])
+    keys.sort()
+    first = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return keys[first]
 
 
 def optimal_cost(x: PointCloud, y: PointCloud) -> float:

@@ -339,6 +339,92 @@ def test_candidate_shift_skips_after_its_round_cap(sparse_calls, dense_solves, m
     assert (sparse_calls, dense_solves) == ([True, False], [200, 200, 200])
 
 
+def _sigma_weights(graph, sigma):
+    """Each row's weight on its edge to column sigma[row], and each row's set of columns."""
+    rows = np.repeat(np.arange(graph.shape[0]), np.diff(graph.indptr))
+    on = graph.indices == sigma[rows]
+    assert np.array_equal(rows[on], np.arange(graph.shape[0]))
+    return graph.data[on], [set(graph.indices[lo:hi]) for lo, hi in zip(graph.indptr[:-1], graph.indptr[1:])]
+
+
+@pytest.mark.parametrize("n, dim, seed, forced", [(200, 4, 23, True), (2048, 3, 20, False)])
+def test_sparse_optimum_re_solves_on_the_last_rounds_duals(dense_solves, monkeypatch, n, dim, seed, forced):
+    # The second solve's weights are reduced by the first round's duals, so the first sigma's edges weigh 1
+    # wherever no new edge lowered its row. A cold re-solve weighs them by their own reduced entries.
+    if forced:
+        monkeypatch.setattr(asg, "CANDIDATE_MIN_N", 1)
+    graphs, sigmas = [], []
+    solve = csgraph.min_weight_full_bipartite_matching
+
+    def spy(graph):
+        found = solve(graph)
+        graphs.append(graph)
+        sigmas.append(found[1])
+        return found
+
+    monkeypatch.setattr(csgraph, "min_weight_full_bipartite_matching", spy)
+    x, y = _pair(n, dim, seed)
+    cost = asg.optimal_cost(x, y)
+    assert len(graphs) == 2 and dense_solves == []
+    assert cost == _plain_optimum(x, y)
+    cold, cold_cols = _sigma_weights(graphs[0], sigmas[0])
+    warm, warm_cols = _sigma_weights(graphs[1], sigmas[0])
+    kept = np.array([a == b for a, b in zip(cold_cols, warm_cols)])
+    assert 0 < kept.sum() < n
+    assert np.all(warm[kept] == 1.0)
+    assert np.any(cold[kept] > 1.0)
+
+
+def _settle_calls(monkeypatch):
+    """The arguments of every `_settle` call of the forced route on an instance that solves twice."""
+    monkeypatch.setattr(asg, "CANDIDATE_MIN_N", 1)
+    calls = []
+    settle = asg._settle
+
+    def spy(*args):
+        calls.append(args)
+        return settle(*args)
+
+    monkeypatch.setattr(asg, "_settle", spy)
+    asg.optimal_cost(*_pair(200, 4, 23))
+    monkeypatch.undo()
+    return calls
+
+
+def test_settle_from_a_warm_start_stays_below_it_and_satisfies_every_edge(monkeypatch):
+    calls = _settle_calls(monkeypatch)
+    assert [args[3] is None for args in calls] == [True, False]
+    tails, lengths, tol, start = calls[1]
+    real = np.isfinite(lengths)
+    for begin in (start, np.minimum(start, -np.random.default_rng(0).random(start.size))):
+        kept = begin.copy()
+        p = asg._settle(tails, lengths, tol, begin)
+        assert np.array_equal(begin, kept)
+        assert np.all(p <= begin)
+        assert np.all((p[None, :] <= p[tails] + lengths + tol)[real])
+
+
+def test_settle_without_a_start_starts_from_zeros_and_keeps_its_round_cap(monkeypatch):
+    calls = _settle_calls(monkeypatch)
+    for tails, lengths, tol, start in calls:
+        cold = asg._settle(tails, lengths, tol)
+        assert np.array_equal(cold, asg._settle(tails, lengths, tol, np.zeros(tails.shape[1])))
+        assert np.all(cold <= 0.0)
+    monkeypatch.setattr(asg, "CANDIDATE_ROUNDS", 1)
+    for tails, lengths, tol, start in calls:
+        assert asg._settle(tails, lengths, tol) is None
+
+
+def test_union_equals_numpy_union1d():
+    rng = np.random.default_rng(7)
+    for size in (0, 1, 50, 2000):
+        a = rng.integers(0, 4 * size + 1, size, dtype=np.int64)
+        for b in (rng.integers(0, 4 * size + 1, 3 * size, dtype=np.int64), a[::-1].copy(), a[:0]):
+            union = asg._union(a, b)
+            assert union.dtype == np.int64
+            assert np.array_equal(union, np.union1d(a, b))
+
+
 def test_candidate_shift_skips_a_gap_it_cannot_certify(sparse_calls, dense_solves, monkeypatch):
     monkeypatch.setattr(asg, "CERTIFIED_GAP", 0.0)
     x, y = _pair(200, 3, 21)
