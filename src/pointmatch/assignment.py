@@ -351,20 +351,21 @@ def _sparse_optimum(x: PointCloud, y: PointCloud, f: np.ndarray) -> tuple[float,
       fl(g_m - g_m) = 0, and no entry is below 0, since g_m is the least of
       its column. Such ties are how a row's (k + 1)-th entry can reach its
       first on random clouds.
-    - The candidates' entries w >= 0 go to LAPJVsp as integer weights
-      W = rint(s / unit) + 1 >= 1 with unit = max(s) / 2^32: it needs non-zero
-      weights, and on float weights it can loop forever where rounding makes
-      ties inconsistent (seen on lattice clouds), while integers below 2^33
-      keep its sums exact up to N = 2^19. In the first round s = w. Later,
-      s = (w - a_n) - b_m on the last round's duals, less each row's least s
-      where that is below 0 (the entries that joined): row and column
-      constants leave the optimal permutation as it is, the last sigma's
-      edges weigh W = 1 in every row not lowered, and the solver's start
-      assigns almost every row at once. Its matching sigma is optimal for W.
+    - The candidates' entries w >= 0, reduced by the last round's duals a and
+      b (0 before the first round, where s = w), s = (w - a_n) - b_m less
+      each row's least s where that is below 0 (the entries that joined), go
+      to LAPJVsp as integer weights W = rint(s / unit) + 1 >= 1 with
+      unit = max(s) / 2^32: it needs non-zero weights, and on float weights
+      it can loop forever where rounding makes ties inconsistent (seen on
+      lattice clouds), while integers below 2^33 keep its sums exact up to
+      N = 2^19. Row and column constants leave the optimal permutation as it
+      is; the last sigma's edges weigh W = 1 in every row not lowered, and
+      the solver's start assigns almost every row at once. Its matching
+      sigma is optimal for W.
     - Bellman-Ford over the edges, on the float w, gives row duals a <= 0 and
       column duals b_j = w_(rho(j), j) - a_(rho(j)), tight on sigma. It starts
-      from 0 in the first round and from the last round's a later, and
-      reaches the greatest such duals at most its start. Where
+      from the last round's a and reaches the greatest such duals at most
+      that start. Where
       sigma misses the optimum of w on its edges by more than the rounding of
       w (tol = delta (max w + max|f| + max|g| + max|h|) an edge), it does not
       settle. Only sigma comes from s: Bellman-Ford, the check and the
@@ -408,18 +409,17 @@ def _sparse_optimum(x: PointCloud, y: PointCloud, f: np.ndarray) -> tuple[float,
         return r, c, ((_sq_dist(xs[r], ys[c]) - f[r]) - g[c]) - h[r]
 
     # each row's k nearest and each column's k nearest, so that no column is left with too few rows
-    keys = _union(np.arange(n).repeat(k) * n + cands.ravel(), near.ravel() * n + np.arange(n).repeat(k))
+    keys = np.union1d(np.arange(n).repeat(k) * n + cands.ravel(), near.ravel() * n + np.arange(n).repeat(k))
     from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
-    a = b = None
+    a, b = np.zeros(n), np.zeros(n)
     for _ in range(CHECK_ROUNDS):
         rows, cols, w = reduced(keys)  # sorted by row
         deg = np.bincount(rows, minlength=n)
         first = np.cumsum(deg) - deg
-        s = w
-        if a is not None:  # reduced by the last round's duals, then each row raised to a least s of 0 if below
-            s = (w - a[rows]) - b[cols]
-            s -= np.minimum(np.minimum.reduceat(s, first), 0.0)[rows]
+        # reduced by the last round's duals, then each row raised to a least s of 0 where it is below
+        s = (w - a[rows]) - b[cols]
+        s -= np.minimum(np.minimum.reduceat(s, first), 0.0)[rows]
         unit = float(s.max()) / 2**32 or 1.0
         graph = sparse.csr_array((np.rint(s / unit) + 1.0, cols, np.append(first, rows.size)), shape=(n, n))
         try:
@@ -450,7 +450,7 @@ def _sparse_optimum(x: PointCloud, y: PointCloud, f: np.ndarray) -> tuple[float,
         if short.size == 0:
             break
         r, c, wr = reduced(np.repeat(short, k) * n + _nearest(tree, xs[short], k)[0].ravel())
-        grown = _union(keys, (r * n + c)[wr < a[r] + b[c]])
+        grown = np.union1d(keys, (r * n + c)[wr < a[r] + b[c]])
         if grown.size == keys.size:
             break
         keys = grown
@@ -466,18 +466,17 @@ def _sparse_optimum(x: PointCloud, y: PointCloud, f: np.ndarray) -> tuple[float,
     return cost, g, h, gap
 
 
-def _settle(tails: np.ndarray, lengths: np.ndarray, tol: float, start: np.ndarray | None = None) -> np.ndarray | None:
+def _settle(tails: np.ndarray, lengths: np.ndarray, tol: float, start: np.ndarray) -> np.ndarray | None:
     """A p <= start with p_h <= p_t + l + tol for every edge t -> h, or None.
 
     Column h of the (D, N) arrays lists the tails and lengths of the edges into
-    node h. Jacobi Bellman-Ford from p = start (zeros if None; start <= 0),
-    until no node falls by more than tol in a round; None if that has not
-    happened within CANDIDATE_ROUNDS rounds. Without a negative cycle it
-    reaches the greatest p <= start that satisfies every edge, up to tol. tol
-    lets a cycle of zero length, which rounding may make a last bit negative,
-    settle.
+    node h. Jacobi Bellman-Ford from p = start <= 0, until no node falls by
+    more than tol in a round; None if that has not happened within
+    CANDIDATE_ROUNDS rounds. Without a negative cycle it reaches the greatest
+    p <= start that satisfies every edge, up to tol. tol lets a cycle of zero
+    length, which rounding may make a last bit negative, settle.
     """
-    p = np.zeros(tails.shape[1]) if start is None else start.copy()
+    p = start.copy()
     for _ in range(CANDIDATE_ROUNDS):
         reach = p[tails]
         reach += lengths
@@ -486,18 +485,6 @@ def _settle(tails: np.ndarray, lengths: np.ndarray, tol: float, start: np.ndarra
             return p
         np.minimum(p, best, out=p)
     return None
-
-
-def _union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The sorted unique keys of a and b, as `np.union1d` gives them, by one sort.
-
-    `np.union1d` is about 20 times slower on the route's int64 edge keys (20 N keys, N = 1024 and 4096).
-    """
-    keys = np.concatenate([a, b])
-    keys.sort()
-    first = np.ones(keys.size, dtype=bool)
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    return keys[first]
 
 
 def optimal_cost(x: PointCloud, y: PointCloud) -> float:

@@ -391,38 +391,26 @@ def _settle_calls(monkeypatch):
     return calls
 
 
-def test_settle_from_a_warm_start_stays_below_it_and_satisfies_every_edge(monkeypatch):
+def test_settle_stays_below_its_start_and_satisfies_every_edge(monkeypatch):
+    # the first round starts from zeros, the second from the first round's row duals
     calls = _settle_calls(monkeypatch)
-    assert [args[3] is None for args in calls] == [True, False]
-    tails, lengths, tol, start = calls[1]
-    real = np.isfinite(lengths)
-    for begin in (start, np.minimum(start, -np.random.default_rng(0).random(start.size))):
-        kept = begin.copy()
-        p = asg._settle(tails, lengths, tol, begin)
-        assert np.array_equal(begin, kept)
-        assert np.all(p <= begin)
-        assert np.all((p[None, :] <= p[tails] + lengths + tol)[real])
-
-
-def test_settle_without_a_start_starts_from_zeros_and_keeps_its_round_cap(monkeypatch):
-    calls = _settle_calls(monkeypatch)
+    assert len(calls) == 2 and not calls[0][3].any() and calls[1][3].any()
+    lowered = -np.random.default_rng(0).random(calls[1][3].size)
     for tails, lengths, tol, start in calls:
-        cold = asg._settle(tails, lengths, tol)
-        assert np.array_equal(cold, asg._settle(tails, lengths, tol, np.zeros(tails.shape[1])))
-        assert np.all(cold <= 0.0)
+        real = np.isfinite(lengths)
+        for begin in (np.zeros(start.size), start, np.minimum(start, lowered)):
+            kept = begin.copy()
+            p = asg._settle(tails, lengths, tol, begin)
+            assert np.array_equal(begin, kept)
+            assert np.all(p <= begin)
+            assert np.all((p[None, :] <= p[tails] + lengths + tol)[real])
+
+
+def test_settle_keeps_its_round_cap(monkeypatch):
+    calls = _settle_calls(monkeypatch)
     monkeypatch.setattr(asg, "CANDIDATE_ROUNDS", 1)
     for tails, lengths, tol, start in calls:
-        assert asg._settle(tails, lengths, tol) is None
-
-
-def test_union_equals_numpy_union1d():
-    rng = np.random.default_rng(7)
-    for size in (0, 1, 50, 2000):
-        a = rng.integers(0, 4 * size + 1, size, dtype=np.int64)
-        for b in (rng.integers(0, 4 * size + 1, 3 * size, dtype=np.int64), a[::-1].copy(), a[:0]):
-            union = asg._union(a, b)
-            assert union.dtype == np.int64
-            assert np.array_equal(union, np.union1d(a, b))
+        assert asg._settle(tails, lengths, tol, np.zeros(start.size)) is None
 
 
 def test_candidate_shift_skips_a_gap_it_cannot_certify(sparse_calls, dense_solves, monkeypatch):
